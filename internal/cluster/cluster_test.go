@@ -197,6 +197,66 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	checkGoroutines(t, base)
 }
 
+// TestClusterGatherBytesPerJob: each EvalReport carries its own job's
+// result bytes, not the coordinator's running total, and the reports
+// of two jobs add up to that total.
+func TestClusterGatherBytesPerJob(t *testing.T) {
+	base := runtime.NumGoroutine()
+	coord, workers := startCluster(t, 500*time.Millisecond, 1, 1)
+	rng := rand.New(rand.NewSource(5))
+	var reports []*EvalReport
+	for _, n := range []int{3000, 1500} {
+		pts := geom.Flatten(geom.SphereGrid(rng, n, 2, 0.3))
+		den := geom.RandomDensities(rng, n, 1)
+		_, report, err := coord.Evaluate(context.Background(), EvalRequest{
+			Src: pts, Den: den, Kernel: kernels.Spec{Name: "laplace"}, Degree: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, report)
+	}
+	first, second := reports[0].GatherBytes, reports[1].GatherBytes
+	if first <= 0 || second <= 0 {
+		t.Fatalf("per-job gather bytes %d and %d, want both positive", first, second)
+	}
+	if total := coord.GatherBytes(); first+second != total {
+		t.Errorf("per-job gather bytes %d + %d != coordinator total %d", first, second, total)
+	}
+	if second >= first {
+		t.Errorf("the smaller second job gathered %d bytes, not fewer than the first's %d", second, first)
+	}
+	for _, w := range workers {
+		w.Close()
+	}
+	coord.Close()
+	checkGoroutines(t, base)
+}
+
+// TestClusterRejectsNonFiniteCoordinates: a NaN coordinate is rejected
+// as invalid input before any work is scattered.
+func TestClusterRejectsNonFiniteCoordinates(t *testing.T) {
+	base := runtime.NumGoroutine()
+	coord, workers := startCluster(t, 500*time.Millisecond, 1)
+	rng := rand.New(rand.NewSource(6))
+	pts := geom.Flatten(geom.SphereGrid(rng, 2000, 2, 0.3))
+	pts[3*1234+1] = math.NaN()
+	_, _, err := coord.Evaluate(context.Background(), EvalRequest{
+		Src: pts, Den: geom.RandomDensities(rng, 2000, 1), Kernel: kernels.Spec{Name: "laplace"},
+	})
+	if !errors.Is(err, errs.ErrInvalidInput) {
+		t.Fatalf("NaN coordinate: got %v, want invalid_input", err)
+	}
+	if coord.ScatterBytes() != 0 {
+		t.Errorf("rejected job scattered %d bytes", coord.ScatterBytes())
+	}
+	for _, w := range workers {
+		w.Close()
+	}
+	coord.Close()
+	checkGoroutines(t, base)
+}
+
 // TestClusterWorkerLost kills one worker mid-evaluation: the blocked
 // Evaluate must resolve with the typed worker_lost error within two
 // heartbeat intervals (no hang), nothing may leak, and the degraded

@@ -16,6 +16,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/parfmm"
+	"repro/internal/tree"
 )
 
 // CoordinatorConfig configures the cluster coordinator.
@@ -72,6 +73,9 @@ type coordJob struct {
 	tls       []*obs.RankTimeline
 	reported  []bool // per rank: result received (a rank's Pot may be empty)
 	remaining int    // ranks whose results are outstanding
+
+	// gatherBytes counts the result payloads received for this job.
+	gatherBytes atomic.Int64
 
 	done     chan struct{}
 	err      error
@@ -245,6 +249,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		case fJobResult:
 			if job, ranks, err := decodeJobResult(payload); err == nil {
 				c.gatherBytes.Add(int64(len(payload)))
+				if j := c.jobByID(job); j != nil {
+					j.gatherBytes.Add(int64(len(payload)))
+				}
 				c.handleResult(job, ranks)
 			}
 		case fJobError:
@@ -520,6 +527,9 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	if len(req.Den) != n*sd {
 		return nil, nil, errs.Newf(errs.CodeInvalidInput, "kifmm: cluster density length %d, want %d", len(req.Den), n*sd)
 	}
+	if err := tree.CheckCoordinates("src", req.Src); err != nil {
+		return nil, nil, err
+	}
 
 	c.evalMu.Lock()
 	defer c.evalMu.Unlock()
@@ -632,7 +642,7 @@ func (c *Coordinator) Evaluate(ctx context.Context, req EvalRequest) ([]float64,
 	c.observePasses(tl)
 	report := &EvalReport{
 		Ranks: size, Workers: len(parts),
-		ScatterBytes: scatter, GatherBytes: c.gatherBytes.Load(),
+		ScatterBytes: scatter, GatherBytes: job.gatherBytes.Load(),
 		Timeline: tl, Wall: time.Since(start),
 	}
 	return pot, report, nil

@@ -208,8 +208,8 @@ func (p *Plan) ForwardRealScratch(dst []complex128, src []float64, scratch []com
 			zmk = zf[m-k]
 		}
 		cz := complex(real(zmk), -imag(zmk))
-		e := (zk + cz) / 2
-		o := (zk - cz) / 2
+		e := scale(zk+cz, 0.5)
+		o := scale(zk-cz, 0.5)
 		o = complex(imag(o), -real(o)) // -i * o
 		dst[k] = e + p.w[k]*o
 	}
@@ -261,8 +261,8 @@ func (p *Plan) InverseRealScratch(dst []float64, src []complex128, scratch []com
 		xk := src[k]
 		xmk := src[m-k]
 		cx := complex(real(xmk), -imag(xmk))
-		e := (xk + cx) / 2
-		o := (xk - cx) / 2 * p.winv[k]
+		e := scale(xk+cx, 0.5)
+		o := scale(xk-cx, 0.5) * p.winv[k]
 		zf[k] = e + complex(-imag(o), real(o)) // e + i*o
 	}
 	z := scratch[m : 2*m]
@@ -344,7 +344,8 @@ func muli(z complex128, sign float64) complex128 {
 	return complex(-sign*imag(z), sign*real(z))
 }
 
-// scale returns s*z for real s.
+// scale returns s*z for real s. Halving goes through scale too: z/2
+// would call the runtime's general complex division.
 func scale(z complex128, s float64) complex128 {
 	return complex(s*real(z), s*imag(z))
 }
@@ -361,7 +362,7 @@ func leaf3(dst, src []complex128, stride int, sign float64) {
 	x0, x1, x2 := src[0], src[stride], src[2*stride]
 	s := x1 + x2
 	d := muli(scale(x1-x2, sin60), sign)
-	u := x0 - s/2
+	u := x0 - scale(s, 0.5)
 	dst[0] = x0 + s
 	dst[1] = u + d
 	dst[2] = u - d
@@ -426,7 +427,7 @@ func combine3(dst []complex128, m, wstep int, w []complex128, sign float64) {
 		x0 := dst[c]
 		s := t1 + t2
 		d := muli(scale(t1-t2, sin60), sign)
-		u := x0 - s/2
+		u := x0 - scale(s, 0.5)
 		dst[c] = x0 + s
 		dst[m+c] = u + d
 		dst[2*m+c] = u - d

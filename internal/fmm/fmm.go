@@ -150,6 +150,11 @@ type Evaluator struct {
 	fft  *translate.FFTM2L
 	pool *exec.Elastic
 
+	// m2l holds the per-level FFT-M2L plans (index = level), built on
+	// the first FFT evaluation: they depend only on the tree.
+	m2lMu sync.Mutex
+	m2l   []*translate.M2LLevel
+
 	// statsMu guards stats, the breakdown of the most recent completed
 	// evaluation (concurrent callers race benignly: last writer wins).
 	statsMu sync.Mutex
@@ -298,6 +303,13 @@ func (e *Evaluator) FootprintBytes() int64 {
 	b += e.Ops.CachedBytes()
 	if e.fft != nil {
 		b += e.fft.CachedBytes()
+		e.m2lMu.Lock()
+		for _, lv := range e.m2l {
+			if lv != nil {
+				b += lv.Bytes()
+			}
+		}
+		e.m2lMu.Unlock()
 	}
 	return b
 }
@@ -422,7 +434,7 @@ type scratch struct {
 	check []float64
 	pts   []float64
 	mat   []float64
-	acc   []complex128
+	m2l   translate.M2LScratch
 }
 
 func (sc *scratch) checkBuf(n int) []float64 {
@@ -444,19 +456,6 @@ func (sc *scratch) matBuf(n int) []float64 {
 		sc.mat = make([]float64, n)
 	}
 	return sc.mat[:n]
-}
-
-// accBuf returns a zeroed flat accumulator of n Fourier grids (the
-// rhs-major AccumulateBatch layout).
-func (sc *scratch) accBuf(n int) []complex128 {
-	if cap(sc.acc) < n {
-		sc.acc = make([]complex128, n)
-	}
-	acc := sc.acc[:n]
-	for i := range acc {
-		acc[i] = 0
-	}
-	return acc
 }
 
 // evaluate is the engine shared by all Evaluate variants. The call's
@@ -794,22 +793,21 @@ func (r *runState) applyM2LDense(ctx context.Context, l int) error {
 }
 
 // rhsChunk picks how many right-hand sides the V-list sweep processes
-// per pass: enough to amortize one kernel-tensor load across the whole
-// chunk (the win of the rhs-major layout), bounded so the in-flight
-// Fourier grids of a level stay within a fixed memory budget. The
-// choice depends only on the plan and the batch — never on the worker
-// count — so batched results stay deterministic across machines.
-func rhsChunk(nrhs, nused, sd, gl int) int {
-	// Tensor-load amortization saturates long before 16 RHS; past that
-	// the extra grids only cost memory and cache pressure.
+// per pass, bounded so the in-flight Fourier grids of a level stay
+// within a fixed memory budget. The choice depends only on the plan and
+// the batch — never on the worker count — so batched results stay
+// deterministic across machines.
+func rhsChunk(nrhs int, lv *translate.M2LLevel) int {
+	// Every RHS is its own kernel pass, so larger chunks only save
+	// per-pass set-up; past 16 the extra grids only cost memory.
 	const maxChunk = 16
-	// ~256 MiB of simultaneous source grids (16 bytes per coefficient).
+	// ~256 MiB of simultaneous source grids (8 bytes per float).
 	const budgetBytes = 256 << 20
 	c := nrhs
 	if c > maxChunk {
 		c = maxChunk
 	}
-	if per := int64(nused) * int64(sd) * int64(gl) * 16; per > 0 {
+	if per := int64(lv.SpecLen(1)) * 8; per > 0 {
 		if b := int(budgetBytes / per); b < c {
 			c = b
 		}
@@ -820,95 +818,58 @@ func rhsChunk(nrhs, nused, sd, gl int) int {
 	return c
 }
 
-// applyM2LFFT batches the level's V-list translations through the
-// Fourier path: one forward FFT per contributing source box per RHS,
-// Hadamard accumulation per (target, source) pair, one inverse FFT per
-// target per RHS. The forward sweep and the accumulate/extract sweep
-// each fan out over the pool; a barrier between them guarantees every
-// grid is ready. The batch is walked in rhs chunks with rhs-major grids
-// (see rhsChunk): within a chunk each kernel tensor is loaded once per
-// (target, source) pair and applied to every RHS while cache-hot, which
-// is what makes batched evaluation superlinear in FFT-dominated
-// configurations.
-func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
-	t := r.e.Tree
-	f := r.e.fft
-	sd, td := r.sd, r.td
-	ne, nc := r.ne, r.nc
-	gl := f.GridLen()
-	lo, hi := t.LevelStart[l], t.LevelStart[l+1]
-	// Index every source box used by some V list at this level
-	// (RHS-independent; read-only inside the parallel sweeps).
-	gridOf := make(map[int32]int)
-	var used []int32
-	for bi := lo; bi < hi; bi++ {
-		b := &t.Boxes[bi]
-		if b.TrgCount == 0 {
-			continue
+// m2lPlans returns the per-level FFT-M2L plans, building them on first
+// use. Targets are the boxes with targets, sources the boxes with
+// sources (exactly those the upward pass gives a density).
+func (e *Evaluator) m2lPlans() []*translate.M2LLevel {
+	e.m2lMu.Lock()
+	defer e.m2lMu.Unlock()
+	if e.m2l == nil {
+		t := e.Tree
+		plans := make([]*translate.M2LLevel, t.Depth())
+		isTarget := func(bi int32) bool { return t.Boxes[bi].TrgCount > 0 }
+		isSource := func(bi int32) bool { return t.Boxes[bi].SrcCount > 0 }
+		for l := 2; l < t.Depth(); l++ {
+			plans[l] = e.fft.PlanTreeLevel(t, l, isTarget, isSource)
 		}
-		for _, a := range b.V {
-			if r.phiU[a] == nil {
-				continue
-			}
-			if _, ok := gridOf[a]; !ok {
-				gridOf[a] = len(used)
-				used = append(used, a)
-			}
-		}
+		e.m2l = plans
 	}
-	if len(used) == 0 {
+	return e.m2l
+}
+
+// applyM2LFFT runs the level's V-list translations through the Fourier
+// path: one forward FFT per contributing source box per RHS, the
+// level-wide M2L kernel over tiles of sibling groups, one inverse FFT
+// per target per RHS. The forward sweep (over source boxes) and the
+// accumulate/extract sweep (over tiles) each fan out over the pool; a
+// barrier between them guarantees every spectrum is ready. The batch is
+// walked in rhs chunks (see rhsChunk).
+func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
+	lv := r.e.m2lPlans()[l]
+	srcs := lv.Sources()
+	if len(srcs) == 0 {
 		return nil
 	}
-	chunk := rhsChunk(r.nrhs, len(used), sd, gl)
-	grids := make([][]complex128, len(used))
+	ne, nc := r.ne, r.nc
+	chunk := rhsChunk(r.nrhs, lv)
+	spec := make([]float64, lv.SpecLen(chunk))
 	for q0 := 0; q0 < r.nrhs; q0 += chunk {
-		nq := chunk
-		if q0+nq > r.nrhs {
-			nq = r.nrhs - q0
-		}
-		// Forward-transform every contributing source box for this rhs
-		// chunk (grid buffers are reused across chunks).
-		err := r.pool.ForRange(ctx, 0, len(used), func(w, i int) {
+		nq := min(chunk, r.nrhs-q0)
+		err := r.pool.ForRange(ctx, 0, len(srcs), func(w, i int) {
 			sc := &r.ws[w]
 			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-			if grids[i] == nil {
-				grids[i] = make([]complex128, chunk*sd*gl)
-			}
-			f.ForwardDensityBatch(r.phiU[used[i]][q0*ne:(q0+nq)*ne], nq, grids[i])
-			sc.stats.FlopsDownV += int64(5*gl*sd) * int64(nq) // ~5 n log n per grid
+			sc.stats.FlopsDownV += lv.Forward(spec, nq, i, r.phiU[srcs[i]][q0*ne:(q0+nq)*ne], &sc.m2l)
 			sc.stats.DownV += time.Since(start)
 		})
 		if err != nil {
 			return err
 		}
-		err = r.pool.ForRange(ctx, lo, hi, func(w, bi int) {
-			b := &t.Boxes[bi]
-			if b.TrgCount == 0 || len(b.V) == 0 {
-				return
-			}
+		err = r.pool.ForRange(ctx, 0, lv.Tiles(), func(w, i int) {
 			sc := &r.ws[w]
 			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-			acc := sc.accBuf(nq * td * gl)
-			bx, by, bz := b.Key.Decode()
-			any := false
-			for _, a := range b.V {
-				gi, ok := gridOf[a]
-				if !ok {
-					continue
-				}
-				ax, ay, az := t.Boxes[a].Key.Decode()
-				off := [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)}
-				f.AccumulateBatch(acc, grids[gi][:nq*sd*gl], nq, l, off)
-				sc.stats.FlopsDownV += int64(8*gl*sd*td) * int64(nq)
-				any = true
-			}
-			if any {
-				check := r.getCheck(int32(bi))
-				for q := 0; q < nq; q++ {
-					f.ExtractGrids(acc[q*td*gl:(q+1)*td*gl], l, check[(q0+q)*nc:(q0+q+1)*nc])
-				}
-				sc.stats.FlopsDownV += int64(5*gl*td) * int64(nq)
-			}
+			sc.stats.FlopsDownV += lv.ApplyTile(i, spec, nq, &sc.m2l, func(bi int32) []float64 {
+				return r.getCheck(bi)[q0*nc : (q0+nq)*nc]
+			})
 			sc.stats.DownV += time.Since(start)
 		})
 		if err != nil {

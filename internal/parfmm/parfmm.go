@@ -12,6 +12,7 @@ package parfmm
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/fmm"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/tree"
 )
 
 // Options configure a parallel evaluation.
@@ -156,6 +158,11 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 	total := geom.TotalCount(patches)
 	if len(den) != total*sd {
 		return nil, fmt.Errorf("parfmm: density length %d, want %d", len(den), total*sd)
+	}
+	for i := range patches {
+		if err := tree.CheckCoordinates("patch "+strconv.Itoa(i), patches[i].Points); err != nil {
+			return nil, err
+		}
 	}
 
 	// Partition whole patches along the Morton curve, weighted by count.

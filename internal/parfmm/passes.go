@@ -301,7 +301,7 @@ func (rk *rank) downVWAndLocal(checks [][]float64, potSorted []float64) {
 		// V list, batched per level through the selected backend.
 		tV := rk.c.Elapsed()
 		if rk.fft != nil {
-			rk.applyM2LFFT(l, checks, getCheck)
+			rk.applyM2LFFT(l, getCheck)
 		} else {
 			for bi := t.LevelStart[l]; bi < t.LevelStart[l+1]; bi++ {
 				b := &t.Boxes[bi]
@@ -374,53 +374,20 @@ func (rk *rank) downVWAndLocal(checks [][]float64, potSorted []float64) {
 	}
 }
 
-// applyM2LFFT is the Fourier-space V-list path over ghost densities.
-func (rk *rank) applyM2LFFT(l int, checks [][]float64, getCheck func(int32) []float64) {
+// applyM2LFFT is the Fourier-space V-list path over ghost densities:
+// the same level-wide M2L kernel the single-node engine runs, planned
+// over this rank's local essential tree.
+func (rk *rank) applyM2LFFT(l int, getCheck func(int32) []float64) {
 	t := rk.tree
-	k := rk.opt.Kernel
-	sd, td := k.SourceDim(), k.TargetDim()
-	gl := rk.fft.GridLen()
-	used := make(map[int32]bool)
-	for bi := t.LevelStart[l]; bi < t.LevelStart[l+1]; bi++ {
-		b := &t.Boxes[bi]
-		if b.SrcCount == 0 {
-			continue
-		}
-		for _, a := range b.V {
-			if rk.ghostPhi[a] != nil {
-				used[a] = true
-			}
-		}
+	lv := rk.fft.PlanTreeLevel(t, l,
+		func(bi int32) bool { return t.Boxes[bi].SrcCount != 0 },
+		func(a int32) bool { return rk.ghostPhi[a] != nil })
+	sc := &rk.m2l
+	spec := make([]float64, lv.SpecLen(1))
+	for i, a := range lv.Sources() {
+		rk.stats.FlopsDownV += lv.Forward(spec, 1, i, rk.ghostPhi[a], sc)
 	}
-	grids := make(map[int32][][]complex128, len(used))
-	for a := range used {
-		g := rk.fft.NewSourceGrids()
-		rk.fft.ForwardDensity(rk.ghostPhi[a], g)
-		grids[a] = g
-		rk.stats.FlopsDownV += int64(5 * gl * sd)
-	}
-	acc := rk.fft.NewAccumulator()
-	for bi := t.LevelStart[l]; bi < t.LevelStart[l+1]; bi++ {
-		b := &t.Boxes[bi]
-		if b.SrcCount == 0 || len(b.V) == 0 {
-			continue
-		}
-		rk.fft.ResetAccumulator(acc)
-		bx, by, bz := b.Key.Decode()
-		any := false
-		for _, a := range b.V {
-			g, ok := grids[a]
-			if !ok {
-				continue
-			}
-			ax, ay, az := t.Boxes[a].Key.Decode()
-			rk.fft.Accumulate(acc, g, l, [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)})
-			rk.stats.FlopsDownV += int64(8 * gl * sd * td)
-			any = true
-		}
-		if any {
-			rk.fft.Extract(acc, l, getCheck(int32(bi)))
-			rk.stats.FlopsDownV += int64(5 * gl * td)
-		}
+	for i := 0; i < lv.Tiles(); i++ {
+		rk.stats.FlopsDownV += lv.ApplyTile(i, spec, 1, sc, getCheck)
 	}
 }

@@ -27,6 +27,7 @@ type rank struct {
 
 	ops *translate.Set
 	fft *translate.FFTM2L
+	m2l translate.M2LScratch // FFT-M2L buffers, reused across levels
 
 	tree *tree.Tree
 	pden []float64 // local densities in Morton order

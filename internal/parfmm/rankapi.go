@@ -7,6 +7,7 @@ import (
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/tree"
 )
 
 // RankInput is one rank's share of a distributed evaluation: its local
@@ -90,6 +91,9 @@ func EvaluateRank(t mpi.Transport, in *RankInput, opt Options) (*RankOutput, err
 	sd := opt.Kernel.SourceDim()
 	if len(in.Den) != len(in.Pts)/3*sd {
 		return nil, fmt.Errorf("parfmm: rank density length %d, want %d", len(in.Den), len(in.Pts)/3*sd)
+	}
+	if err := tree.CheckCoordinates("rank", in.Pts); err != nil {
+		return nil, err
 	}
 
 	rk := newRank(t, in, opt)

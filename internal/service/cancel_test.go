@@ -36,7 +36,12 @@ func TestEvaluateCancelMidSweep(t *testing.T) {
 	svc := New(Config{})
 	info, den := slowPlan(t, svc)
 
-	// Uncancelled reference, which also warms the lazy operator caches.
+	// Warm the lazy operator caches, then time an uncancelled reference:
+	// a cold first evaluation can take many times a warm one, and the
+	// cancellation below must land inside a warm sweep.
+	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	if _, _, err := svc.Evaluate(bg, info.ID, den); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/obs"
+	"repro/internal/tree"
 )
 
 // The service speaks the kifmm error taxonomy (internal/errs): every
@@ -362,7 +363,7 @@ func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Option
 	if len(src) == 0 || len(src)%3 != 0 {
 		return nil, nil, opt, spec, "", badRequest("src needs 3k > 0 coordinates, got %d", len(src))
 	}
-	if err := checkCoordinates("src", src); err != nil {
+	if err := tree.CheckCoordinates("src", src); err != nil {
 		return nil, nil, opt, spec, "", err
 	}
 	trg = req.Trg
@@ -378,7 +379,7 @@ func (s *Service) resolve(req PlanRequest) (src, trg []float64, opt kifmm.Option
 		trg = src
 	} else if len(trg)%3 != 0 {
 		return nil, nil, opt, spec, "", badRequest("trg needs 3k coordinates, got %d", len(trg))
-	} else if err := checkCoordinates("trg", trg); err != nil {
+	} else if err := tree.CheckCoordinates("trg", trg); err != nil {
 		return nil, nil, opt, spec, "", err
 	}
 	if err := checkOptionBounds(req); err != nil {
@@ -420,23 +421,6 @@ const (
 // the batch; 256 keeps a worst-case request within the same order as
 // the 256 MiB body bound.
 const maxBatchSize = 256
-
-// maxCoordinate bounds input coordinates. Tree construction computes
-// the bounding-cube half width (hi-lo)/2 and squared pair distances;
-// magnitudes up to 1e150 keep both finite (4e300 < MaxFloat64), while
-// larger values overflow the half width to Inf, collapse every Morton
-// cell to NaN and poison the cached plan with NaN operators.
-const maxCoordinate = 1e150
-
-func checkCoordinates(name string, pts []float64) error {
-	for i, v := range pts {
-		if math.IsNaN(v) || v < -maxCoordinate || v > maxCoordinate {
-			return badRequest("%s coordinate %d is %g, want finite values in [-%g, %g]",
-				name, i, v, maxCoordinate, maxCoordinate)
-		}
-	}
-	return nil
-}
 
 func checkOptionBounds(req PlanRequest) error {
 	// Negative or non-finite values are malformed input (400); values

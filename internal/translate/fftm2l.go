@@ -21,43 +21,53 @@ import (
 // ≥ 2p-1). Densities and kernel samples are purely real, so the
 // convolution runs through the real-input transform fft.Plan3R: only
 // the K = M/2+1 independent z-frequency lines of each grid are stored
-// and multiplied (conjugate symmetry determines the rest), halving grid
-// storage, Hadamard work and inverse-transform work relative to the
-// full complex spectrum. Per V-list offset k the kernel tensor's
-// forward transform is precomputed; each source box needs one forward
-// FFT, each target box accumulates Hadamard products in Fourier space
-// and performs a single inverse FFT.
+// and multiplied (conjugate symmetry determines the rest). Per V-list
+// offset k the kernel tensor's forward transform is precomputed; each
+// source box needs one forward FFT, each target box accumulates
+// Hadamard products in Fourier space and performs a single inverse FFT.
 //
-// The batch entry points (ForwardDensityBatch, AccumulateBatch) lay
-// grids out rhs-major so one pass over a kernel tensor serves every
-// right-hand side of a batched evaluation — the tensor stays cache-hot
-// across the batch instead of being re-streamed from memory per RHS.
+// All Fourier-space data — kernel tensors, source spectra, target
+// accumulators — is stored chunked: the half-spectrum is padded to a
+// whole number of 4-frequency chunks, and each chunk holds its 4 real
+// parts followed by its 4 imaginary parts (8 float64, one cache line).
+// A level's V-list work is planned once (M2LLevel) and runs through one
+// group kernel that serves 4 sibling targets per pass, so every source
+// chunk is loaded once for 4 targets (checkGroup states its contract).
+// On amd64 with AVX the kernel is Go assembly, chosen at start-up;
+// everywhere else a pure-Go kernel with the same operation order runs,
+// and the two agree bit for bit.
 type FFTM2L struct {
 	set  *Set
 	M    int // padded grid edge
 	K    int // stored z-frequency lines, M/2+1
 	plan *fft.Plan3R
-	// vols recycles real-valued M³ volume buffers used to embed
-	// densities (forward) and read off check potentials (inverse).
-	vols sync.Pool
+	gl   int // half-spectrum length M*M*K
+	gf   int // float64s per chunked grid: 2*gl rounded up to whole chunks
+	// zero is the all-zero chunked grid that pads sibling groups.
+	zero []float64
 	// closed marks that this backend released its refcount on the
 	// tensor cache (Close); accounting only, the backend keeps working.
 	closed bool
 	mu     sync.Mutex
 }
 
+// chunkLen is the number of frequencies per chunk and chunkFloats the
+// float64s one chunk occupies (real parts, then imaginary parts).
+const (
+	chunkLen    = 4
+	chunkFloats = 2 * chunkLen
+)
+
 // tensorCache shares transformed kernel tensors process-wide, mirroring
 // the operator cache in translate.go: tensors depend only on (kernel,
 // degree, box half-width, offset), so evaluator sweeps and parallel
-// ranks reuse one copy. Reads vastly outnumber writes once the cache is
-// warm — every M2L accumulation of every worker fetches a tensor — so
-// lookups take a read lock; builds serialize on tensorBuildMu, keeping
-// the first parallel evaluation from building the same tensor on every
-// worker.
+// ranks reuse one copy. Tensors are fetched when a level is planned,
+// never per pair; builds serialize on tensorBuildMu, keeping the first
+// parallel evaluation from building the same tensor on every worker.
 var (
-	tensorMu      sync.RWMutex
+	tensorMu      sync.Mutex
 	tensorBuildMu sync.Mutex
-	tensorCache   = map[tensorKey][][]complex128{}
+	tensorCache   = map[tensorKey][]float64{}
 	// tensorRefs counts the live FFTM2L backends per (kernel, degree),
 	// the granularity CachedBytes attributes at; dividing by it makes
 	// the summed footprint of plans sharing tensors count each byte
@@ -85,17 +95,17 @@ func NewFFTM2L(s *Set) *FFTM2L {
 	tensorMu.Lock()
 	tensorRefs[tensorRefKey{kern: s.Kern, p: s.P}]++
 	tensorMu.Unlock()
-	f := &FFTM2L{
+	gl := m * m * (m/2 + 1)
+	gf := (gl + chunkLen - 1) / chunkLen * chunkFloats
+	return &FFTM2L{
 		set:  s,
 		M:    m,
 		K:    m/2 + 1,
 		plan: fft.NewPlan3R(m),
+		gl:   gl,
+		gf:   gf,
+		zero: make([]float64, gf),
 	}
-	f.vols.New = func() any {
-		v := make([]float64, m*m*m)
-		return &v
-	}
-	return f
 }
 
 // Close releases this backend's claim on the process-global tensor
@@ -116,43 +126,73 @@ func (f *FFTM2L) Close() {
 	tensorMu.Unlock()
 }
 
-// GridLen returns the number of stored Fourier coefficients per grid
-// component: the half-spectrum length M·M·(M/2+1).
-func (f *FFTM2L) GridLen() int { return f.M * f.M * f.K }
+// M2LScratch is one worker's reusable buffers for the M2L level
+// entry points; the zero value is ready to use. A scratch must not be
+// shared between concurrent calls.
+type M2LScratch struct {
+	vol  []float64    // real M³ volume
+	cplx []complex128 // half-spectrum grid
+	ents []int        // a tile's kernel entry lists
+	acc  []float64    // a tile's chunked accumulators
+}
 
-// NewAccumulator returns zeroed Fourier-space accumulation grids, one per
-// target potential component.
-func (f *FFTM2L) NewAccumulator() [][]complex128 {
-	acc := make([][]complex128, f.set.Kern.TargetDim())
-	for i := range acc {
-		acc[i] = make([]complex128, f.GridLen())
+func (sc *M2LScratch) volBuf(n int) []float64 {
+	if cap(sc.vol) < n {
+		sc.vol = make([]float64, n)
 	}
+	return sc.vol[:n]
+}
+
+func (sc *M2LScratch) cplxBuf(n int) []complex128 {
+	if cap(sc.cplx) < n {
+		sc.cplx = make([]complex128, n)
+	}
+	return sc.cplx[:n]
+}
+
+func (sc *M2LScratch) entsBuf(n int) []int {
+	if cap(sc.ents) < n {
+		sc.ents = make([]int, n)
+	}
+	return sc.ents[:n]
+}
+
+// accBuf returns n zeroed accumulator floats.
+func (sc *M2LScratch) accBuf(n int) []float64 {
+	if cap(sc.acc) < n {
+		sc.acc = make([]float64, n)
+	}
+	acc := sc.acc[:n]
+	clear(acc)
 	return acc
 }
 
-// ResetAccumulator zeroes grids previously returned by NewAccumulator.
-func (f *FFTM2L) ResetAccumulator(acc [][]complex128) {
-	for _, g := range acc {
-		for i := range g {
-			g[i] = 0
-		}
+// toChunks scatters a half-spectrum grid into the chunked layout dst
+// (gf floats; padding frequencies are zeroed).
+func toChunks(dst []float64, g []complex128) {
+	clear(dst[len(g)/chunkLen*chunkFloats:])
+	for j, v := range g {
+		o := j/chunkLen*chunkFloats + j%chunkLen
+		dst[o] = real(v)
+		dst[o+chunkLen] = imag(v)
 	}
 }
 
-// volBuf fetches a pooled real M³ volume buffer.
-func (f *FFTM2L) volBuf() *[]float64 {
-	return f.vols.Get().(*[]float64)
+// fromChunks gathers a chunked grid back into half-spectrum order.
+func fromChunks(g []complex128, src []float64) {
+	for j := range g {
+		o := j/chunkLen*chunkFloats + j%chunkLen
+		g[j] = complex(src[o], src[o+chunkLen])
+	}
 }
 
-// embedForward zero-pads one real density component into a volume grid
-// and forward-transforms it into the half-spectrum grid dst.
-func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
+// forward zero-pads component c of the real surface density phi
+// (sd components per point) into a volume grid, forward-transforms it
+// and stores the chunked half-spectrum in dst.
+func (f *FFTM2L) forward(phi []float64, c, sd int, dst []float64, sc *M2LScratch) {
 	p, m := f.set.P, f.M
-	vp := f.volBuf()
-	vol := *vp
-	for i := range vol {
-		vol[i] = 0
-	}
+	vol := sc.volBuf(m * m * m)
+	clear(vol)
 	for si, vi := range f.set.Surf.VolIdx {
 		// vi indexes the p³ volume: (x*p+y)*p+z.
 		x := vi / (p * p)
@@ -160,18 +200,19 @@ func (f *FFTM2L) embedForward(phi []float64, c, sd int, dst []complex128) {
 		z := vi % p
 		vol[(x*m+y)*m+z] = phi[si*sd+c]
 	}
-	f.plan.Forward(dst, vol)
-	f.vols.Put(vp)
+	g := sc.cplxBuf(f.gl)
+	f.plan.Forward(g, vol)
+	toChunks(dst, g)
 }
 
-// extractAdd inverse-transforms one half-spectrum component grid g
-// (destroying it) and adds escale times its surface values into check
-// at component a.
-func (f *FFTM2L) extractAdd(g []complex128, a int, escale float64, check []float64) {
+// extractAdd inverse-transforms one chunked accumulator grid and adds
+// escale times its surface values into check at component a.
+func (f *FFTM2L) extractAdd(acc []float64, a int, escale float64, check []float64, sc *M2LScratch) {
 	p, m := f.set.P, f.M
 	td := f.set.Kern.TargetDim()
-	vp := f.volBuf()
-	vol := *vp
+	g := sc.cplxBuf(f.gl)
+	fromChunks(g, acc)
+	vol := sc.volBuf(m * m * m)
 	f.plan.Inverse(vol, g)
 	for si, vi := range f.set.Surf.VolIdx {
 		x := vi / (p * p)
@@ -179,131 +220,25 @@ func (f *FFTM2L) extractAdd(g []complex128, a int, escale float64, check []float
 		z := vi % p
 		check[si*td+a] += escale * vol[(x*m+y)*m+z]
 	}
-	f.vols.Put(vp)
 }
 
-// ForwardDensity embeds the surface density phi (EquivCount values) into
-// per-component half-spectrum grids. dst must hold SourceDim grids of
-// GridLen (allocate with NewSourceGrids).
-func (f *FFTM2L) ForwardDensity(phi []float64, dst [][]complex128) {
-	sd := f.set.Kern.SourceDim()
-	for c := 0; c < sd; c++ {
-		f.embedForward(phi, c, sd, dst[c])
-	}
-}
-
-// NewSourceGrids returns grids for ForwardDensity.
-func (f *FFTM2L) NewSourceGrids() [][]complex128 {
-	g := make([][]complex128, f.set.Kern.SourceDim())
-	for i := range g {
-		g[i] = make([]complex128, f.GridLen())
-	}
-	return g
-}
-
-// ForwardDensityBatch transforms nq right-hand sides at once: phi holds
-// nq*EquivCount density values rhs-major (the layout the FMM keeps its
-// upward densities in), dst receives nq*SourceDim half-spectrum grids
-// flattened rhs-major (grid (q, c) at offset (q*SourceDim+c)*GridLen).
-func (f *FFTM2L) ForwardDensityBatch(phi []float64, nq int, dst []complex128) {
-	sd := f.set.Kern.SourceDim()
-	ne := f.set.EquivCount()
-	gl := f.GridLen()
-	for q := 0; q < nq; q++ {
-		for c := 0; c < sd; c++ {
-			f.embedForward(phi[q*ne:(q+1)*ne], c, sd, dst[(q*sd+c)*gl:(q*sd+c+1)*gl])
-		}
-	}
-}
-
-// hadamardAdd accumulates dst[i] += t[i]*s[i]. It is the innermost loop
-// of the V-list sweep — the single hottest loop of an evaluation.
-func hadamardAdd(dst, t, s []complex128) {
-	t = t[:len(dst)]
-	s = s[:len(dst)]
-	for i := range dst {
-		dst[i] += t[i] * s[i]
-	}
-}
-
-// Accumulate adds the Fourier-space M2L contribution of a source box
-// (transformed grids src) to a target accumulator, for boxes at the
-// given level with integer center offset k = (targetCell - sourceCell).
-// The homogeneous level scale is NOT applied here: every contribution
-// to one accumulator comes from the same level, so Extract applies the
-// scale once per surface point instead of once per grid element.
-func (f *FFTM2L) Accumulate(acc, src [][]complex128, level int, k [3]int) {
-	key, _, _ := f.set.scaleFor(level)
-	t := f.tensor(key, k)
-	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
-	for a := 0; a < td; a++ {
-		for b := 0; b < sd; b++ {
-			hadamardAdd(acc[a], t[a*sd+b], src[b])
-		}
-	}
-}
-
-// AccumulateBatch is Accumulate across nq right-hand sides with
-// rhs-major flattened grids: acc holds nq*TargetDim accumulator grids,
-// src nq*SourceDim source grids (the ForwardDensityBatch layout). Each
-// kernel tensor is walked once per (target, source) component pair and
-// applied to every RHS while it is cache-hot.
-func (f *FFTM2L) AccumulateBatch(acc, src []complex128, nq, level int, k [3]int) {
-	key, _, _ := f.set.scaleFor(level)
-	t := f.tensor(key, k)
-	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
-	gl := f.GridLen()
-	for a := 0; a < td; a++ {
-		for b := 0; b < sd; b++ {
-			tg := t[a*sd+b]
-			for q := 0; q < nq; q++ {
-				hadamardAdd(acc[(q*td+a)*gl:(q*td+a+1)*gl], tg, src[(q*sd+b)*gl:(q*sd+b+1)*gl])
-			}
-		}
-	}
-}
-
-// Extract inverse-transforms the accumulator and reads off the downward
-// check potential at the DC surface points, applying the level's
-// analytic operator scale (see Accumulate) and adding into check
-// (CheckCount values). level must match the Accumulate calls that
-// filled acc; acc is used as workspace and is garbage afterwards.
-func (f *FFTM2L) Extract(acc [][]complex128, level int, check []float64) {
-	_, escale, _ := f.set.scaleFor(level)
-	td := f.set.Kern.TargetDim()
-	for a := 0; a < td; a++ {
-		f.extractAdd(acc[a], a, escale, check)
-	}
-}
-
-// ExtractGrids is Extract for one right-hand side of the flattened
-// batch layout: acc holds TargetDim half-spectrum grids back to back
-// (one AccumulateBatch RHS slot).
-func (f *FFTM2L) ExtractGrids(acc []complex128, level int, check []float64) {
-	_, escale, _ := f.set.scaleFor(level)
-	td := f.set.Kern.TargetDim()
-	gl := f.GridLen()
-	for a := 0; a < td; a++ {
-		f.extractAdd(acc[a*gl:(a+1)*gl], a, escale, check)
-	}
-}
-
-// tensor returns (building if needed) the forward-transformed kernel
-// translation tensor for cache key and offset k.
-func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
+// tensor returns (building if needed) the chunked kernel tensor for
+// cache key key and offset k: TargetDim*SourceDim grids, component
+// pair (a, b) at (a*SourceDim+b)*gf.
+func (f *FFTM2L) tensor(key int, k [3]int) []float64 {
 	r := f.set.geomRadius(key)
 	tk := tensorKey{kern: f.set.Kern, p: f.set.P, radius: r, off: k}
-	tensorMu.RLock()
+	tensorMu.Lock()
 	t, ok := tensorCache[tk]
-	tensorMu.RUnlock()
+	tensorMu.Unlock()
 	if ok {
 		return t
 	}
 	tensorBuildMu.Lock()
 	defer tensorBuildMu.Unlock()
-	tensorMu.RLock()
+	tensorMu.Lock()
 	t, ok = tensorCache[tk]
-	tensorMu.RUnlock()
+	tensorMu.Unlock()
 	if ok {
 		return t
 	}
@@ -315,9 +250,9 @@ func (f *FFTM2L) tensor(key int, k [3]int) [][]complex128 {
 }
 
 // buildTensor samples the kernel over every lattice offset of the
-// translation and forward-transforms the result into half-spectrum
-// grids.
-func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
+// translation and forward-transforms each component grid into the
+// chunked layout.
+func (f *FFTM2L) buildTensor(r float64, k [3]int) []float64 {
 	p, m := f.set.P, f.M
 	h := surface.Spacing(p, r)
 	sd, td := f.set.Kern.SourceDim(), f.set.Kern.TargetDim()
@@ -345,10 +280,11 @@ func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
 			}
 		}
 	}
-	t := make([][]complex128, td*sd)
-	for c := range t {
-		t[c] = make([]complex128, f.GridLen())
-		f.plan.Forward(t[c], vols[c])
+	t := make([]float64, td*sd*f.gf)
+	g := make([]complex128, f.gl)
+	for c := range vols {
+		f.plan.Forward(g, vols[c])
+		toChunks(t[c*f.gf:(c+1)*f.gf], g)
 	}
 	return t
 }
@@ -360,16 +296,14 @@ func (f *FFTM2L) buildTensor(r float64, k [3]int) [][]complex128 {
 // counts each byte once; a backend surviving past Close falls back to
 // full attribution (conservative, never under-counting).
 func (f *FFTM2L) CachedBytes() int64 {
-	tensorMu.RLock()
-	defer tensorMu.RUnlock()
+	tensorMu.Lock()
+	defer tensorMu.Unlock()
 	var b int64
 	for tk, t := range tensorCache {
 		if tk.kern != f.set.Kern || tk.p != f.set.P {
 			continue
 		}
-		for _, g := range t {
-			b += int64(len(g)) * 16
-		}
+		b += int64(len(t)) * 8
 	}
 	if refs := tensorRefs[tensorRefKey{kern: f.set.Kern, p: f.set.P}]; refs > 1 {
 		b /= refs

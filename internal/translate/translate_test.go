@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fft"
 	"repro/internal/kernels"
 	"repro/internal/surface"
 )
@@ -219,236 +218,6 @@ func TestL2LPreservesInteriorField(t *testing.T) {
 		kernels.P2P(k, trg, de, phiChild, got)
 		if e := relErr(got, want); e > 3e-3 {
 			t.Errorf("%s: L2L interior error %v", k.Name(), e)
-		}
-	}
-}
-
-// TestFFTM2LMatchesDense: the Fourier path must reproduce the dense M2L
-// translation to near machine precision for every kernel and a sample of
-// V-list offsets.
-func TestFFTM2LMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	offsets := [][3]int{
-		{2, 0, 0}, {-2, 0, 0}, {3, 3, 3}, {-3, 2, -2}, {0, 2, -3}, {2, -2, 2}, {-2, -3, 0},
-	}
-	for _, k := range testKernels() {
-		for _, level := range []int{2, 4} {
-			s, err := NewSet(k, 6, 0.7, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := NewFFTM2L(s)
-			phi := make([]float64, s.EquivCount())
-			for i := range phi {
-				phi[i] = rng.NormFloat64()
-			}
-			src := f.NewSourceGrids()
-			f.ForwardDensity(phi, src)
-			for _, off := range offsets {
-				want := applyM2LDirect(s, level, off, phi)
-				acc := f.NewAccumulator()
-				f.Accumulate(acc, src, level, off)
-				got := make([]float64, s.CheckCount())
-				f.Extract(acc, level, got)
-				scale := 0.0
-				for _, v := range want {
-					if a := math.Abs(v); a > scale {
-						scale = a
-					}
-				}
-				for i := range got {
-					if math.Abs(got[i]-want[i]) > 1e-11*(scale+1) {
-						t.Fatalf("%s level=%d off=%v: FFT M2L mismatch at %d: %v vs %v",
-							k.Name(), level, off, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFFTM2LAccumulatesMultipleSources: Fourier-space accumulation over
-// several source boxes must equal the sum of dense translations.
-func TestFFTM2LAccumulatesMultipleSources(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	k := kernels.Laplace{}
-	s, _ := NewSet(k, 6, 0.5, 0)
-	f := NewFFTM2L(s)
-	level := 3
-	offsets := [][3]int{{2, 1, 0}, {-3, 0, 2}, {0, -2, 0}}
-	acc := f.NewAccumulator()
-	want := make([]float64, s.CheckCount())
-	for _, off := range offsets {
-		phi := make([]float64, s.EquivCount())
-		for i := range phi {
-			phi[i] = rng.NormFloat64()
-		}
-		grids := f.NewSourceGrids()
-		f.ForwardDensity(phi, grids)
-		f.Accumulate(acc, grids, level, off)
-		s.M2LDirect(level, off).Apply(want, phi)
-	}
-	got := make([]float64, s.CheckCount())
-	f.Extract(acc, level, got)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-11 {
-			t.Fatalf("accumulated FFT M2L mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestFFTM2LHalfSpectrumMatchesFullSpectrum: the r2c backend must
-// reproduce the old full-complex-spectrum convolution to ~1e-12. The
-// reference rebuilds the translation the pre-r2c way: kernel tensor and
-// embedded density on full M³ complex grids (fft.Plan3), full-spectrum
-// Hadamard, complex inverse, surface read-off.
-func TestFFTM2LHalfSpectrumMatchesFullSpectrum(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, k := range testKernels() {
-		s, err := NewSet(k, 6, 0.5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := NewFFTM2L(s)
-		level := 3
-		off := [3]int{-3, 2, 0}
-		sd, td := k.SourceDim(), k.TargetDim()
-		phi := make([]float64, s.EquivCount())
-		for i := range phi {
-			phi[i] = rng.NormFloat64()
-		}
-
-		// Half-spectrum path under test.
-		grids := f.NewSourceGrids()
-		f.ForwardDensity(phi, grids)
-		acc := f.NewAccumulator()
-		f.Accumulate(acc, grids, level, off)
-		got := make([]float64, s.CheckCount())
-		f.Extract(acc, level, got)
-
-		// Full-spectrum reference.
-		p, m := s.P, f.M
-		plan3 := fft.NewPlan3(m, m, m)
-		key, escale, _ := s.scaleFor(level)
-		h := surface.Spacing(p, s.geomRadius(key))
-		tensor := make([][]complex128, td*sd)
-		for c := range tensor {
-			tensor[c] = make([]complex128, m*m*m)
-		}
-		block := make([]float64, td*sd)
-		for dx := -(p - 1); dx <= p-1; dx++ {
-			for dy := -(p - 1); dy <= p-1; dy++ {
-				for dz := -(p - 1); dz <= p-1; dz++ {
-					k.Eval(
-						h*float64(dx+(p-2)*off[0]),
-						h*float64(dy+(p-2)*off[1]),
-						h*float64(dz+(p-2)*off[2]),
-						block,
-					)
-					idx := (wrap(dx, m)*m+wrap(dy, m))*m + wrap(dz, m)
-					for c, v := range block {
-						tensor[c][idx] = complex(v, 0)
-					}
-				}
-			}
-		}
-		for c := range tensor {
-			plan3.Forward(tensor[c])
-		}
-		src := make([][]complex128, sd)
-		for c := range src {
-			src[c] = make([]complex128, m*m*m)
-			for si, vi := range s.Surf.VolIdx {
-				x := vi / (p * p)
-				y := vi / p % p
-				z := vi % p
-				src[c][(x*m+y)*m+z] = complex(phi[si*sd+c], 0)
-			}
-			plan3.Forward(src[c])
-		}
-		want := make([]float64, s.CheckCount())
-		for a := 0; a < td; a++ {
-			full := make([]complex128, m*m*m)
-			for b := 0; b < sd; b++ {
-				tg := tensor[a*sd+b]
-				sg := src[b]
-				for i := range full {
-					full[i] += tg[i] * sg[i]
-				}
-			}
-			plan3.Inverse(full)
-			for si, vi := range s.Surf.VolIdx {
-				x := vi / (p * p)
-				y := vi / p % p
-				z := vi % p
-				want[si*td+a] += escale * real(full[(x*m+y)*m+z])
-			}
-		}
-
-		scale := 0.0
-		for _, v := range want {
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12*(scale+1) {
-				t.Fatalf("%s: half vs full spectrum mismatch at %d: %v vs %v",
-					k.Name(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestFFTM2LBatchMatchesSingle: the rhs-major batch entry points must
-// produce bitwise-identical check potentials to per-RHS single calls.
-func TestFFTM2LBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, k := range []kernels.Kernel{kernels.Laplace{}, kernels.NewStokes(1)} {
-		s, err := NewSet(k, 6, 0.5, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := NewFFTM2L(s)
-		level := 2
-		offsets := [][3]int{{2, 0, -2}, {-2, 3, 1}}
-		const nq = 3
-		ne, nc := s.EquivCount(), s.CheckCount()
-		sd, td := k.SourceDim(), k.TargetDim()
-		gl := f.GridLen()
-		phi := make([]float64, nq*ne)
-		for i := range phi {
-			phi[i] = rng.NormFloat64()
-		}
-
-		// Batch path.
-		batchSrc := make([]complex128, nq*sd*gl)
-		f.ForwardDensityBatch(phi, nq, batchSrc)
-		batchAcc := make([]complex128, nq*td*gl)
-		for _, off := range offsets {
-			f.AccumulateBatch(batchAcc, batchSrc, nq, level, off)
-		}
-		got := make([]float64, nq*nc)
-		for q := 0; q < nq; q++ {
-			f.ExtractGrids(batchAcc[q*td*gl:(q+1)*td*gl], level, got[q*nc:(q+1)*nc])
-		}
-
-		// Single-RHS path.
-		want := make([]float64, nq*nc)
-		for q := 0; q < nq; q++ {
-			grids := f.NewSourceGrids()
-			f.ForwardDensity(phi[q*ne:(q+1)*ne], grids)
-			acc := f.NewAccumulator()
-			for _, off := range offsets {
-				f.Accumulate(acc, grids, level, off)
-			}
-			f.Extract(acc, level, want[q*nc:(q+1)*nc])
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: batch path differs from single path at %d: %v vs %v",
-					k.Name(), i, got[i], want[i])
-			}
 		}
 	}
 }

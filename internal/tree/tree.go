@@ -17,9 +17,11 @@ package tree
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 
+	"repro/internal/errs"
 	"repro/internal/morton"
 )
 
@@ -90,6 +92,28 @@ type keyed struct {
 	orig int32
 }
 
+// MaxCoordinate bounds input coordinates. Tree construction computes
+// the bounding-cube half width (hi-lo)/2 and squared pair distances;
+// magnitudes up to 1e150 keep both finite (4e300 < MaxFloat64), while
+// larger values overflow the half width to Inf, collapse every Morton
+// cell to NaN and poison a cached plan with NaN operators.
+const MaxCoordinate = 1e150
+
+// CheckCoordinates is the engine's one input-geometry check: every
+// entry point that builds a tree (the single-node engine, the parallel
+// ranks, the cluster coordinator, the service) runs it. It rejects NaN,
+// ±Inf and magnitudes beyond MaxCoordinate with a typed invalid_input
+// error naming the point set and the offending index.
+func CheckCoordinates(name string, pts []float64) error {
+	for i, v := range pts {
+		if math.IsNaN(v) || v < -MaxCoordinate || v > MaxCoordinate {
+			return errs.Newf(errs.CodeInvalidInput, "kifmm: %s coordinate %d is %g, want finite values in [-%g, %g]",
+				name, i, v, MaxCoordinate, MaxCoordinate)
+		}
+	}
+	return nil
+}
+
 // Build constructs the adaptive octree over src and trg (flat x,y,z
 // coordinate slices) and computes all four interaction lists. It is
 // BuildCtx with context.Background().
@@ -107,6 +131,12 @@ func Build(src, trg []float64, cfg Config) (*Tree, error) {
 func BuildCtx(ctx context.Context, src, trg []float64, cfg Config) (*Tree, error) {
 	if len(src)%3 != 0 || len(trg)%3 != 0 {
 		return nil, fmt.Errorf("tree: coordinate slices must have length divisible by 3")
+	}
+	if err := CheckCoordinates("src", src); err != nil {
+		return nil, err
+	}
+	if err := CheckCoordinates("trg", trg); err != nil {
+		return nil, err
 	}
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 60

@@ -1,9 +1,40 @@
 package kifmm
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
+
+// TestNonFiniteCoordinatesRejected: one bad coordinate among 5000
+// points fails the plan build with a typed invalid_input error — on the
+// single-node and the distributed paths — instead of yielding NaN
+// potentials.
+func TestNonFiniteCoordinatesRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		patches := UniformPatches(3, 5000)
+		pts := FlattenPatches(patches)
+		pts[3*2500+2] = bad
+		if _, err := NewEvaluatorCtx(context.Background(), pts, pts, Options{Kernel: Laplace()}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("coordinate %g: NewEvaluatorCtx returned %v, want invalid_input", bad, err)
+		}
+		src := FlattenPatches(UniformPatches(4, 100))
+		if _, err := NewEvaluatorCtx(context.Background(), src, pts, Options{Kernel: Laplace()}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("target coordinate %g: NewEvaluatorCtx returned %v, want invalid_input", bad, err)
+		}
+		for i := range patches {
+			if len(patches[i].Points) > 0 {
+				patches[i].Points[0] = bad
+				break
+			}
+		}
+		den := RandomDensities(5, 5000, 1)
+		if _, err := EvaluateParallel(patches, den, 2, ParallelOptions{Options: Options{Kernel: Laplace(), Degree: 4}}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("coordinate %g: EvaluateParallel returned %v, want invalid_input", bad, err)
+		}
+	}
+}
 
 func TestPublicAPISequential(t *testing.T) {
 	patches := SpherePatches(1, 2000, 3, 0.25)
