@@ -353,3 +353,37 @@ func TestClusterDrainExcludesWorker(t *testing.T) {
 	}
 	workers[0].Close()
 }
+
+// TestClusterRankFailureReported: a job that fails inside a rank (here
+// every rank rejects the degree) comes back from Evaluate as the rank's
+// typed error, promptly and without leaking goroutines. The worker must
+// report a failure that started locally: the coordinator would
+// otherwise wait for its ranks forever, kept from declaring the worker
+// lost by its heartbeats.
+func TestClusterRankFailureReported(t *testing.T) {
+	base := runtime.NumGoroutine()
+	coord, workers := startCluster(t, 500*time.Millisecond, 1)
+	rng := rand.New(rand.NewSource(7))
+	pts := geom.Flatten(geom.SphereGrid(rng, 2000, 2, 0.3))
+	den := geom.RandomDensities(rng, 2000, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, err := coord.Evaluate(context.Background(), EvalRequest{
+			Src: pts, Den: den, Kernel: kernels.Spec{Name: "laplace"}, Degree: 2,
+		})
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("rank failure: Evaluate returned %v, want invalid_input", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("evaluation hung after its rank failed")
+	}
+	for _, w := range workers {
+		w.Close()
+	}
+	coord.Close()
+	checkGoroutines(t, base)
+}

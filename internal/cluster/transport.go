@@ -82,14 +82,17 @@ func (j *workerJob) deliverCollResp(m *collRespMsg) {
 }
 
 // abort poisons the job: every blocked Recv/collective wakes and panics
-// with err, unwinding its rank goroutine.
-func (j *workerJob) abort(err error) {
+// with err, unwinding its rank goroutine. It reports whether err is the
+// one the job latched (the first abort).
+func (j *workerJob) abort(err error) bool {
 	j.mu.Lock()
-	if j.abortErr == nil {
+	defer j.mu.Unlock()
+	first := j.abortErr == nil
+	if first {
 		j.abortErr = err
 	}
 	j.cond.Broadcast()
-	j.mu.Unlock()
+	return first
 }
 
 // wireTransport is one rank's mpi.Transport over TCP: point-to-point

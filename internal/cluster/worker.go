@@ -403,18 +403,21 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 
 	results := make([]rankResultWire, nLocal)
 	var (
-		errMu  sync.Mutex
-		rankWG sync.WaitGroup
-		jobErr error
+		errMu    sync.Mutex
+		rankWG   sync.WaitGroup
+		failed   bool
+		localErr error // the failure that poisoned the job, if it started here
 	)
 	fail := func(err error) {
 		errMu.Lock()
-		if jobErr == nil {
-			jobErr = err
+		defer errMu.Unlock()
+		failed = true
+		// Poison the job so sibling ranks blocked on the failed rank's
+		// sends unwind. Only the failure that latches first started
+		// here; later ones echo it, or an abort from the coordinator.
+		if j.abort(err) {
+			localErr = err
 		}
-		errMu.Unlock()
-		// Unblock sibling ranks waiting on the failed rank's sends.
-		j.abort(err)
 	}
 	for i := 0; i < nLocal; i++ {
 		rankWG.Add(1)
@@ -430,7 +433,7 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 				}
 			}()
 			t := &wireTransport{w: w, j: j, rank: hdr.RankLo + i}
-			out, err := parfmm.EvaluateRank(t, inputs[i], opt)
+			out, err := parfmm.EvaluateRank(w.runCtx, t, inputs[i], opt)
 			if err != nil {
 				fail(errs.Typed(err, errs.CodeInvalidInput))
 				return
@@ -444,15 +447,15 @@ func (w *Worker) runJob(j *workerJob, inputs []*parfmm.RankInput) {
 	}
 	rankWG.Wait()
 
-	j.mu.Lock()
-	aborted := j.abortErr
-	j.mu.Unlock()
-	if jobErr != nil {
-		// If the coordinator aborted us there is nothing to report — it
-		// already knows; otherwise surface the local failure.
-		if aborted == nil || jobErr != aborted {
-			w.reportJobError(j, jobErr)
-		}
+	if localErr != nil {
+		// Nobody else knows: the coordinator would wait for this
+		// worker's ranks forever.
+		w.reportJobError(j, localErr)
+		return
+	}
+	if failed {
+		// The coordinator aborted the job (or a peer was lost); it
+		// already knows.
 		return
 	}
 	if err := w.ctrl.writeFrame(fJobResult, encodeJobResult(j.id, results)); err != nil {

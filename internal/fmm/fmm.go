@@ -1,10 +1,17 @@
 // Package fmm implements the adaptive kernel-independent FMM (paper
-// Section 2): the upward pass builds upward equivalent densities (S2M at
-// leaves, M2M up the tree), the downward pass accumulates downward check
-// potentials from the V (M2L), X (S2L) lists and the parent (L2L),
-// inverts them into downward equivalent densities, and the leaf
-// evaluation combines the U list (direct), W list (M2T) and the local
-// expansion (L2T).
+// Section 2) as four passes in dependency order (see Sweep):
+//
+//   - up: upward equivalent densities (S2M at leaves, M2M up the tree);
+//   - near: the U list (direct interactions) and the X list (S2L onto
+//     downward check surfaces), which need only source data;
+//   - far: per level, the V list (M2L), L2L from the parent and the
+//     inversion into downward equivalent densities, which need the
+//     upward densities;
+//   - leaf: the W list (M2T) and the local expansion (L2T).
+//
+// A single-node evaluation runs them back to back on the tree's own
+// data; a parallel rank (internal/parfmm) runs the same passes on its
+// local essential tree, with its ghost exchanges in between.
 //
 // Every pass decomposes into independent per-box work synchronized only
 // at level boundaries — the observation the paper's parallel algorithm
@@ -249,8 +256,9 @@ func NewCtx(ctx context.Context, src, trg []float64, opt Options) (*Evaluator, e
 	return FromTree(tr, opt)
 }
 
-// FromTree wraps an existing octree (used by the parallel driver, which
-// builds its local essential tree separately).
+// FromTree prepares an evaluator over an existing octree: New's tree, or
+// a parallel rank's local essential tree, which the rank assembles from
+// the global tree construction (paper Section 3.1).
 func FromTree(tr *tree.Tree, opt Options) (*Evaluator, error) {
 	opt = ApplyDefaults(opt)
 	ops, err := translate.NewSet(opt.Kernel, opt.Degree, tr.HalfWidth, opt.PinvTol)
@@ -408,10 +416,26 @@ func (e *Evaluator) EvaluateBatchTracedCtx(ctx context.Context, dens [][]float64
 	return pots, st, root, nil
 }
 
-// runState carries one evaluation's transient state: the engine reads
-// the Evaluator but writes only here, which is what makes concurrent
-// evaluations of one plan safe.
-type runState struct {
+// Sweep is one evaluation in flight. Its passes follow the paper's
+// dependency order and are called one at a time, so a parallel rank can
+// run its ghost exchanges between them (paper Section 3: each processor
+// runs the sequential passes on its local essential tree):
+//
+//   - Up: S2M at the leaves, M2M up the tree, from the tree's own
+//     sources. It returns the upward equivalent densities.
+//   - Near: the U list (direct, into the potentials) and the X list
+//     (S2L, into the downward check potentials). It needs only leaf
+//     source data.
+//   - Far: level by level, the V list (M2L), L2L from the parent and the
+//     inversion into downward equivalent densities. It needs the upward
+//     densities of every box the V lists name.
+//   - Leaf: the W list (M2T) and the local expansion (L2T).
+//
+// A single-node evaluation feeds Near the tree's own sources and Far the
+// densities Up returned; a rank feeds them the global data its exchanges
+// gathered. The sweep reads the Evaluator and writes only itself, which
+// is what makes concurrent evaluations of one plan safe.
+type Sweep struct {
 	e    *Evaluator
 	pool *exec.Lease
 	nrhs int
@@ -420,7 +444,8 @@ type runState struct {
 
 	pdens  [][]float64 // per-RHS densities, Morton order
 	ppots  [][]float64 // per-RHS potentials, Morton order
-	phiU   [][]float64 // per-box upward equivalent densities (nrhs*ne)
+	phiU   [][]float64 // per-box upward equivalent densities of the own sources (nrhs*ne)
+	phiG   [][]float64 // per-box upward densities Far and Leaf read (nrhs*ne)
 	phiD   [][]float64 // per-box downward equivalent densities (nrhs*ne)
 	checks [][]float64 // per-box downward check potentials (nrhs*nc)
 
@@ -458,44 +483,78 @@ func (sc *scratch) matBuf(n int) []float64 {
 	return sc.mat[:n]
 }
 
-// evaluate is the engine shared by all Evaluate variants. The call's
-// worker-lane width is resolved here, not at plan time: a lease is
-// acquired from the elastic pool (admission — under saturation this is
-// where a call queues, honoring ctx) and every pass fans out under it,
-// shrinking at chunk-claim boundaries if lanes are revoked mid-run and
-// growing back at pass boundaries when the pool drains. ctx flows into
-// every pool dispatch; on cancellation the current pass drains at its
-// barrier, the partially written run state is discarded, and the typed
+// evaluate is the engine shared by all Evaluate variants: Begin, the
+// four passes on the tree's own data, Finish. The up, down (Near, then
+// Far) and leaf passes each get a span under root, which when non-nil
+// collects a per-pass wall-clock span tree (nil costs nothing — every
+// span method is nil-safe). On cancellation the current pass drains at
+// its barrier, the partially written sweep is discarded, and the typed
 // cancellation error is returned (the most recent *completed*
 // evaluation's stats are left untouched).
-//
-// root, when non-nil, collects a per-pass wall-clock span tree (nil
-// costs nothing — every span method is nil-safe). Passes build the tree
-// sequentially and only this call's goroutines see it until return, so
-// no locking.
 func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Span) ([][]float64, Stats, error) {
+	s, err := e.Begin(ctx, dens, root)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer s.Release()
+	sp := root.StartChild("up")
+	phi, err := s.Up(ctx, sp)
+	sp.End()
+	if err == nil {
+		sp = root.StartChild("down")
+		if err = s.Near(ctx, nil, nil); err == nil {
+			err = s.Far(ctx, phi, sp)
+		}
+		sp.End()
+	}
+	if err == nil {
+		sp = root.StartChild("leaf")
+		err = s.Leaf(ctx)
+		sp.End()
+	}
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	pots, st, err := s.Finish(ctx, root)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	root.End()
+	return pots, st, nil
+}
+
+// Begin admits one evaluation of dens (SourceDim components per source,
+// input order, one vector per right-hand side). The call's worker-lane
+// width is resolved here, not at plan time: a lease is acquired from the
+// evaluator's pool (under saturation this is where a call queues,
+// honoring ctx) and every pass fans out under it, shrinking at
+// chunk-claim boundaries if lanes are revoked mid-run and growing back
+// at pass boundaries when the pool drains. Begin then permutes the
+// densities into Morton order. root, when non-nil, gets the call's
+// attributes and the "permute" span. The caller runs Up, Near, Far,
+// Leaf and Finish in that order and must Release the sweep.
+func (e *Evaluator) Begin(ctx context.Context, dens [][]float64, root *obs.Span) (*Sweep, error) {
 	k := e.opt.Kernel
 	sd, td := k.SourceDim(), k.TargetDim()
 	t := e.Tree
 	nSrc := len(t.SrcPoints) / 3
 	nTrg := len(t.TrgPoints) / 3
 	if len(dens) == 0 {
-		return nil, Stats{}, errs.New(errs.CodeInvalidInput, "fmm: evaluation needs at least one density vector")
+		return nil, errs.New(errs.CodeInvalidInput, "fmm: evaluation needs at least one density vector")
 	}
 	for q, den := range dens {
 		if len(den) != nSrc*sd {
 			if len(dens) == 1 {
-				return nil, Stats{}, errs.Newf(errs.CodeInvalidInput, "fmm: density length %d, want %d", len(den), nSrc*sd)
+				return nil, errs.Newf(errs.CodeInvalidInput, "fmm: density length %d, want %d", len(den), nSrc*sd)
 			}
-			return nil, Stats{}, errs.Newf(errs.CodeInvalidInput, "fmm: density %d length %d, want %d", q, len(den), nSrc*sd)
+			return nil, errs.Newf(errs.CodeInvalidInput, "fmm: density %d length %d, want %d", q, len(den), nSrc*sd)
 		}
 	}
 	lease, err := e.pool.Acquire(ctx, e.opt.Workers)
 	if err != nil {
-		return nil, Stats{}, errs.FromContext(err)
+		return nil, errs.FromContext(err)
 	}
-	defer lease.Release()
-	r := &runState{
+	s := &Sweep{
 		e: e, pool: lease, nrhs: len(dens),
 		sd: sd, td: td, ne: e.Ops.EquivCount(), nc: e.Ops.CheckCount(),
 		pdens: make([][]float64, len(dens)),
@@ -504,70 +563,77 @@ func (e *Evaluator) evaluate(ctx context.Context, dens [][]float64, root *obs.Sp
 		// width: a shrunken call can fan back out at a pass boundary.
 		ws: make([]scratch, lease.MaxWidth()),
 	}
-	root.SetAttr("rhs", strconv.Itoa(r.nrhs))
+	root.SetAttr("rhs", strconv.Itoa(s.nrhs))
 	root.SetAttr("granted_lanes", strconv.Itoa(lease.Granted()))
 	// Permute densities into Morton order (fanned out across the batch).
 	sp := root.StartChild("permute")
-	err = r.pool.ForRange(ctx, 0, r.nrhs, func(_, q int) {
+	err = lease.ForRange(ctx, 0, s.nrhs, func(_, q int) {
 		p := make([]float64, nSrc*sd)
 		for i, orig := range t.SrcPerm {
 			o := int(orig)
 			copy(p[i*sd:(i+1)*sd], dens[q][o*sd:(o+1)*sd])
 		}
-		r.pdens[q] = p
-		r.ppots[q] = make([]float64, nTrg*td)
+		s.pdens[q] = p
+		s.ppots[q] = make([]float64, nTrg*td)
 	})
 	sp.End()
-	if err == nil {
-		sp = root.StartChild("up")
-		err = r.upwardPass(ctx, sp)
-		sp.End()
+	if err != nil {
+		lease.Release()
+		return nil, errs.FromContext(err)
 	}
-	if err == nil {
-		sp = root.StartChild("down")
-		err = r.downwardPass(ctx, sp)
-		sp.End()
-	}
-	if err == nil {
-		sp = root.StartChild("leaf")
-		err = r.leafEvaluation(ctx)
-		sp.End()
-	}
+	return s, nil
+}
 
-	// Un-permute potentials to input order.
-	pots := make([][]float64, r.nrhs)
-	if err == nil {
-		sp = root.StartChild("unpermute")
-		err = r.pool.ForRange(ctx, 0, r.nrhs, func(_, q int) {
-			pot := make([]float64, nTrg*td)
-			for i, orig := range t.TrgPerm {
-				o := int(orig)
-				copy(pot[o*td:(o+1)*td], r.ppots[q][i*td:(i+1)*td])
-			}
-			pots[q] = pot
-		})
-		sp.End()
-	}
+// Release returns the sweep's lanes to the pool. Idempotent; not while
+// a pass runs.
+func (s *Sweep) Release() { s.pool.Release() }
+
+// Density returns the densities of right-hand side q at box bi's own
+// sources, in Morton order.
+func (s *Sweep) Density(q int, bi int32) []float64 {
+	b := &s.e.Tree.Boxes[bi]
+	return s.pdens[q][b.SrcStart*s.sd : (b.SrcStart+b.SrcCount)*s.sd]
+}
+
+// Finish un-permutes the potentials into input order (TargetDim
+// components per target) and returns them with the call's stage
+// breakdown, which also becomes the evaluator's Stats. root, when
+// non-nil, gets the "unpermute" span.
+func (s *Sweep) Finish(ctx context.Context, root *obs.Span) ([][]float64, Stats, error) {
+	t := s.e.Tree
+	td := s.td
+	pots := make([][]float64, s.nrhs)
+	sp := root.StartChild("unpermute")
+	err := s.pool.ForRange(ctx, 0, s.nrhs, func(_, q int) {
+		pot := make([]float64, len(s.ppots[q]))
+		for i, orig := range t.TrgPerm {
+			o := int(orig)
+			copy(pot[o*td:(o+1)*td], s.ppots[q][i*td:(i+1)*td])
+		}
+		pots[q] = pot
+	})
+	sp.End()
 	if err != nil {
 		return nil, Stats{}, errs.FromContext(err)
 	}
 	var st Stats
-	for i := range r.ws {
-		st.Add(r.ws[i].stats)
+	for i := range s.ws {
+		st.Add(s.ws[i].stats)
 	}
-	st.Lanes = lease.Granted()
-	root.End()
-	e.statsMu.Lock()
-	e.stats = st
-	e.statsMu.Unlock()
+	st.Lanes = s.pool.Granted()
+	s.e.statsMu.Lock()
+	s.e.stats = st
+	s.e.statsMu.Unlock()
 	return pots, st, nil
 }
 
-// denAt returns the per-RHS density views of a contiguous source range.
-func (r *runState) denAt(start, count int) func(q int) []float64 {
-	return func(q int) []float64 {
-		return r.pdens[q][start*r.sd : (start+count)*r.sd]
+// sources returns box a's source positions and per-RHS densities: the
+// caller's copies when pos is non-nil, else the tree's own.
+func (s *Sweep) sources(a int32, pos, den [][]float64) ([]float64, func(q int) []float64) {
+	if pos != nil {
+		return pos[a], sliceAt(den[a], len(den[a])/s.nrhs)
 	}
+	return s.e.Tree.SrcSlice(a), func(q int) []float64 { return s.Density(q, a) }
 }
 
 // sliceAt returns the per-RHS views of an rhs-major buffer with the
@@ -583,210 +649,256 @@ func sliceAt(buf []float64, stride int) func(q int) []float64 {
 // evaluations — the dominant near-field cost — are paid once per batch.
 // (Kernels return a zero block at zero displacement, so self
 // interactions vanish on both paths.)
-func (r *runState) addP2P(sc *scratch, trg, src []float64, den, dst func(q int) []float64, flops *int64) {
-	k := r.e.opt.Kernel
+func (s *Sweep) addP2P(sc *scratch, trg, src []float64, den, dst func(q int) []float64, flops *int64) {
+	k := s.e.opt.Kernel
 	nt, ns := len(trg)/3, len(src)/3
-	if r.nrhs == 1 {
+	if s.nrhs == 1 {
 		kernels.P2P(k, trg, src, den(0), dst(0))
 		*flops += kernels.P2PFlops(k, nt, ns)
 		return
 	}
-	rows, cols := nt*r.td, ns*r.sd
+	rows, cols := nt*s.td, ns*s.sd
 	m := linalg.Dense{Rows: rows, Cols: cols, Data: sc.matBuf(rows * cols)}
 	kernels.Matrix(k, trg, src, m.Data)
 	*flops += kernels.P2PFlops(k, nt, ns)
-	for q := 0; q < r.nrhs; q++ {
+	for q := 0; q < s.nrhs; q++ {
 		m.MatVecAdd(dst(q), den(q))
 		*flops += int64(2 * rows * cols)
 	}
 }
 
-// upwardPass computes upward equivalent densities for every box that
-// contains sources, deepest level first (S2M at leaves, M2M inside).
-// Levels run in sequence — a parent needs its children — and the boxes
-// of one level fan out over the pool.
-func (r *runState) upwardPass(ctx context.Context, sp *obs.Span) error {
-	t := r.e.Tree
-	ne, nc := r.ne, r.nc
-	r.phiU = make([][]float64, len(t.Boxes))
+// potAt returns the per-RHS potential views of box b's targets.
+func (s *Sweep) potAt(b *tree.Box) func(q int) []float64 {
+	return func(q int) []float64 {
+		return s.ppots[q][b.TrgStart*s.td : (b.TrgStart+b.TrgCount)*s.td]
+	}
+}
+
+// Up computes the upward equivalent density of every box with own
+// sources, deepest level first (S2M at leaves, M2M inside), and returns
+// them indexed by box (nil where a box has no sources). On a rank they
+// are partial: the rank's sources' share of each density, which is
+// linear in the sources. Levels run in sequence — a parent needs its
+// children — and the boxes of one level fan out over the lease. sp, when
+// non-nil, gets a span per level.
+func (s *Sweep) Up(ctx context.Context, sp *obs.Span) ([][]float64, error) {
+	t := s.e.Tree
+	ne, nc := s.ne, s.nc
+	s.phiU = make([][]float64, len(t.Boxes))
 	for l := t.Depth() - 1; l >= 0; l-- {
 		ls := sp.StartChild("level " + strconv.Itoa(l))
 		radius := t.BoxHalfWidth(l)
 		// Fetch the level's operators once, outside the parallel region,
 		// so workers apply them lock-free. Internal boxes exist at level
 		// l only when level l+1 is populated.
-		upPinv := r.e.Ops.UpwardPinv(l)
+		upPinv := s.e.Ops.UpwardPinv(l)
 		var m2m [8]translate.Op
 		if l < t.Depth()-1 {
 			for o := range m2m {
-				m2m[o] = r.e.Ops.M2M(l, o)
+				m2m[o] = s.e.Ops.M2M(l, o)
 			}
 		}
-		err := r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
+		err := s.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
 			b := &t.Boxes[bi]
 			if b.SrcCount == 0 {
 				return
 			}
-			sc := &r.ws[w]
+			sc := &s.ws[w]
 			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-			check := sc.checkBuf(r.nrhs * nc)
+			check := sc.checkBuf(s.nrhs * nc)
 			for i := range check {
 				check[i] = 0
 			}
 			if b.Leaf {
 				src := t.SrcSlice(int32(bi))
-				ucPts := r.e.Ops.UpwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*r.e.Ops.Surf.N))
-				r.addP2P(sc, ucPts, src, r.denAt(b.SrcStart, b.SrcCount), sliceAt(check, nc), &sc.stats.FlopsUp)
+				ucPts := s.e.Ops.UpwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*s.e.Ops.Surf.N))
+				s.addP2P(sc, ucPts, src, func(q int) []float64 { return s.Density(q, int32(bi)) }, sliceAt(check, nc), &sc.stats.FlopsUp)
 			} else {
 				for o, ci := range b.Children {
-					if ci == tree.Nil || r.phiU[ci] == nil {
+					if ci == tree.Nil || s.phiU[ci] == nil {
 						continue
 					}
-					for q := 0; q < r.nrhs; q++ {
-						m2m[o].Apply(check[q*nc:(q+1)*nc], r.phiU[ci][q*ne:(q+1)*ne])
+					for q := 0; q < s.nrhs; q++ {
+						m2m[o].Apply(check[q*nc:(q+1)*nc], s.phiU[ci][q*ne:(q+1)*ne])
 					}
-					sc.stats.FlopsUp += int64(2*nc*ne) * int64(r.nrhs)
+					sc.stats.FlopsUp += int64(2*nc*ne) * int64(s.nrhs)
 				}
 			}
-			phi := make([]float64, r.nrhs*ne)
-			for q := 0; q < r.nrhs; q++ {
+			phi := make([]float64, s.nrhs*ne)
+			for q := 0; q < s.nrhs; q++ {
 				upPinv.Apply(phi[q*ne:(q+1)*ne], check[q*nc:(q+1)*nc])
 			}
-			sc.stats.FlopsUp += int64(2*ne*nc) * int64(r.nrhs)
-			r.phiU[bi] = phi
+			sc.stats.FlopsUp += int64(2*ne*nc) * int64(s.nrhs)
+			s.phiU[bi] = phi
 			sc.stats.Up += time.Since(start)
 		})
 		ls.End()
 		if err != nil {
-			return err
+			return nil, errs.FromContext(err)
 		}
 	}
-	return nil
+	return s.phiU, nil
 }
 
 // getCheck lazily allocates a box's downward check potentials. Within
 // each parallel phase a box is visited by exactly one worker, and phases
 // are separated by pool barriers, so no lock is needed.
-func (r *runState) getCheck(bi int32) []float64 {
-	if r.checks[bi] == nil {
-		r.checks[bi] = make([]float64, r.nrhs*r.nc)
+func (s *Sweep) getCheck(bi int32) []float64 {
+	if s.checks[bi] == nil {
+		s.checks[bi] = make([]float64, s.nrhs*s.nc)
 	}
-	return r.checks[bi]
+	return s.checks[bi]
 }
 
-// downwardPass accumulates downward check potentials level by level
-// (M2L from the V list, S2L from the X list, L2L from the parent) and
-// inverts them into downward equivalent densities. The level order is
-// sequential (a child needs its parent's phiD); within a level the M2L
-// sweep and the per-box X/L2L/inversion sweep each fan out over the
-// pool.
-func (r *runState) downwardPass(ctx context.Context, sp *obs.Span) error {
-	t := r.e.Tree
-	ne, nc := r.ne, r.nc
-	r.phiD = make([][]float64, len(t.Boxes))
-	if t.Depth() <= 2 {
-		return nil
-	}
-	r.checks = make([][]float64, len(t.Boxes))
+// Near runs the passes that need only leaf source data: the U list
+// (direct interactions with adjacent leaves and the leaf itself, into
+// the potentials) and the X list (sources of coarser leaves evaluated on
+// the downward check surface, S2L). pos and den give the sources of
+// every box the lists name, indexed by box: positions and rhs-major
+// densities (a rank's ghost copies); nil pos selects the tree's own
+// sources. Boxes write disjoint potentials and check buffers, so the
+// whole sweep fans out at once.
+func (s *Sweep) Near(ctx context.Context, pos, den [][]float64) error {
+	t := s.e.Tree
+	nsurf := 3 * s.e.Ops.Surf.N
+	s.checks = make([][]float64, len(t.Boxes))
+	err := s.pool.ForRange(ctx, 0, len(t.Boxes), func(w, bi int) {
+		b := &t.Boxes[bi]
+		if b.TrgCount == 0 {
+			return
+		}
+		sc := &s.ws[w]
+		if b.Leaf {
+			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
+			trg, pot := t.TrgSlice(int32(bi)), s.potAt(b)
+			for _, u := range b.U {
+				src, d := s.sources(u, pos, den)
+				if len(src) == 0 {
+					continue
+				}
+				s.addP2P(sc, trg, src, d, pot, &sc.stats.FlopsDownU)
+			}
+			sc.stats.DownU += time.Since(start)
+		}
+		if len(b.X) > 0 {
+			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
+			check := s.getCheck(int32(bi))
+			dcPts := s.e.Ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), t.BoxHalfWidth(b.Level()), sc.ptsBuf(nsurf))
+			for _, a := range b.X {
+				src, d := s.sources(a, pos, den)
+				if len(src) == 0 {
+					continue
+				}
+				s.addP2P(sc, dcPts, src, d, sliceAt(check, s.nc), &sc.stats.FlopsDownX)
+			}
+			sc.stats.DownX += time.Since(start)
+		}
+	})
+	return errs.FromContext(err)
+}
+
+// Far runs the far field once the upward densities are known: level by
+// level, the V list (M2L) into the check potentials, then L2L from the
+// parent and the inversion into downward equivalent densities. phi holds
+// the upward density of every box the V and W lists name, indexed by box
+// (nil where a box has none): a single-node sweep passes what Up
+// returned, a rank the global densities it gathered. Leaf reads the same
+// phi. Levels run in sequence (a child needs its parent's density);
+// within a level the M2L sweep and the L2L/inversion sweep each fan out
+// over the lease. sp, when non-nil, gets a span per level.
+func (s *Sweep) Far(ctx context.Context, phi [][]float64, sp *obs.Span) error {
+	t := s.e.Tree
+	s.phiG = phi
+	s.phiD = make([][]float64, len(t.Boxes))
 	for l := 2; l < t.Depth(); l++ {
 		ls := sp.StartChild("level " + strconv.Itoa(l))
-		// V list: M2L translations, batched per level.
-		var err error
-		if r.e.fft != nil {
-			err = r.applyM2LFFT(ctx, l)
-		} else {
-			err = r.applyM2LDense(ctx, l)
-		}
-		if err != nil {
-			ls.End()
-			return err
-		}
-		downPinv := r.e.Ops.DownwardPinv(l)
-		// L2L operators are only applied when the parent has a downward
-		// density, which level-1 parents (of the first downward level)
-		// never do — don't build 8 unused operators there.
-		var l2l [8]translate.Op
-		if l > 2 {
-			for o := range l2l {
-				l2l[o] = r.e.Ops.L2L(l-1, o)
-			}
-		}
-		radius := t.BoxHalfWidth(l)
-		err = r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
-			b := &t.Boxes[bi]
-			if b.TrgCount == 0 {
-				// No targets anywhere below: the local expansion is
-				// useless. (Pruned boxes always have points, but a box
-				// can hold sources only.)
-				return
-			}
-			sc := &r.ws[w]
-			// X list: sources of coarser leaves evaluated directly on the
-			// DC surface (S2L).
-			if len(b.X) > 0 {
-				startX := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-				check := r.getCheck(int32(bi))
-				dcPts := r.e.Ops.DownwardCheckPoints(t.BoxCenter(int32(bi)), radius, sc.ptsBuf(3*r.e.Ops.Surf.N))
-				for _, a := range b.X {
-					ab := &t.Boxes[a]
-					r.addP2P(sc, dcPts, t.SrcSlice(a), r.denAt(ab.SrcStart, ab.SrcCount),
-						sliceAt(check, nc), &sc.stats.FlopsDownX)
-				}
-				sc.stats.DownX += time.Since(startX)
-			}
-			// L2L from the parent's downward density.
-			startE := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-			if p := b.Parent; p != tree.Nil && r.phiD[p] != nil {
-				check := r.getCheck(int32(bi))
-				op := l2l[b.Key.Octant()]
-				for q := 0; q < r.nrhs; q++ {
-					op.Apply(check[q*nc:(q+1)*nc], r.phiD[p][q*ne:(q+1)*ne])
-				}
-				sc.stats.FlopsEval += int64(2*nc*ne) * int64(r.nrhs)
-			}
-			if r.checks[bi] != nil {
-				phi := make([]float64, r.nrhs*ne)
-				for q := 0; q < r.nrhs; q++ {
-					downPinv.Apply(phi[q*ne:(q+1)*ne], r.checks[bi][q*nc:(q+1)*nc])
-				}
-				sc.stats.FlopsEval += int64(2*ne*nc) * int64(r.nrhs)
-				r.phiD[bi] = phi
-			}
-			sc.stats.Eval += time.Since(startE)
-		})
+		err := s.farLevel(ctx, l)
 		ls.End()
 		if err != nil {
-			return err
+			return errs.FromContext(err)
 		}
 	}
 	return nil
 }
 
+// farLevel is one level of Far.
+func (s *Sweep) farLevel(ctx context.Context, l int) error {
+	t := s.e.Tree
+	ne, nc := s.ne, s.nc
+	var err error
+	if s.e.fft != nil {
+		err = s.applyM2LFFT(ctx, l)
+	} else {
+		err = s.applyM2LDense(ctx, l)
+	}
+	if err != nil {
+		return err
+	}
+	downPinv := s.e.Ops.DownwardPinv(l)
+	// L2L operators are only applied when the parent has a downward
+	// density, which level-1 parents (of the first downward level)
+	// never do — don't build 8 unused operators there.
+	var l2l [8]translate.Op
+	if l > 2 {
+		for o := range l2l {
+			l2l[o] = s.e.Ops.L2L(l-1, o)
+		}
+	}
+	return s.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
+		b := &t.Boxes[bi]
+		if b.TrgCount == 0 {
+			// No targets anywhere below: the local expansion is
+			// useless. (Pruned boxes always have points, but a box
+			// can hold sources only.)
+			return
+		}
+		sc := &s.ws[w]
+		start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
+		if p := b.Parent; p != tree.Nil && s.phiD[p] != nil {
+			check := s.getCheck(int32(bi))
+			op := l2l[b.Key.Octant()]
+			for q := 0; q < s.nrhs; q++ {
+				op.Apply(check[q*nc:(q+1)*nc], s.phiD[p][q*ne:(q+1)*ne])
+			}
+			sc.stats.FlopsEval += int64(2*nc*ne) * int64(s.nrhs)
+		}
+		if s.checks[bi] != nil {
+			phi := make([]float64, s.nrhs*ne)
+			for q := 0; q < s.nrhs; q++ {
+				downPinv.Apply(phi[q*ne:(q+1)*ne], s.checks[bi][q*nc:(q+1)*nc])
+			}
+			sc.stats.FlopsEval += int64(2*ne*nc) * int64(s.nrhs)
+			s.phiD[bi] = phi
+		}
+		sc.stats.Eval += time.Since(start)
+	})
+}
+
 // applyM2LDense applies cached dense M2L operators, fanned out over the
 // level's target boxes.
-func (r *runState) applyM2LDense(ctx context.Context, l int) error {
-	t := r.e.Tree
-	ne, nc := r.ne, r.nc
-	return r.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
+func (s *Sweep) applyM2LDense(ctx context.Context, l int) error {
+	t := s.e.Tree
+	ne, nc := s.ne, s.nc
+	return s.pool.ForRange(ctx, t.LevelStart[l], t.LevelStart[l+1], func(w, bi int) {
 		b := &t.Boxes[bi]
 		if b.TrgCount == 0 || len(b.V) == 0 {
 			return
 		}
-		sc := &r.ws[w]
+		sc := &s.ws[w]
 		start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-		check := r.getCheck(int32(bi))
+		check := s.getCheck(int32(bi))
 		bx, by, bz := b.Key.Decode()
 		for _, a := range b.V {
-			if r.phiU[a] == nil {
+			if s.phiG[a] == nil {
 				continue
 			}
 			ax, ay, az := t.Boxes[a].Key.Decode()
 			off := [3]int{int(bx) - int(ax), int(by) - int(ay), int(bz) - int(az)}
-			op := r.e.Ops.M2LDirect(l, off)
-			for q := 0; q < r.nrhs; q++ {
-				op.Apply(check[q*nc:(q+1)*nc], r.phiU[a][q*ne:(q+1)*ne])
+			op := s.e.Ops.M2LDirect(l, off)
+			for q := 0; q < s.nrhs; q++ {
+				op.Apply(check[q*nc:(q+1)*nc], s.phiG[a][q*ne:(q+1)*ne])
 			}
-			sc.stats.FlopsDownV += int64(2*nc*ne) * int64(r.nrhs)
+			sc.stats.FlopsDownV += int64(2*nc*ne) * int64(s.nrhs)
 		}
 		sc.stats.DownV += time.Since(start)
 	})
@@ -819,16 +931,18 @@ func rhsChunk(nrhs int, lv *translate.M2LLevel) int {
 }
 
 // m2lPlans returns the per-level FFT-M2L plans, building them on first
-// use. Targets are the boxes with targets, sources the boxes with
-// sources (exactly those the upward pass gives a density).
-func (e *Evaluator) m2lPlans() []*translate.M2LLevel {
+// use. Targets are the boxes with targets, sources the boxes phi gives
+// an upward density. The plans depend only on the tree: every sweep of
+// one evaluator passes densities for the same boxes (the boxes with
+// sources on a single node, the V- and W-list ghosts on a rank).
+func (e *Evaluator) m2lPlans(phi [][]float64) []*translate.M2LLevel {
 	e.m2lMu.Lock()
 	defer e.m2lMu.Unlock()
 	if e.m2l == nil {
 		t := e.Tree
 		plans := make([]*translate.M2LLevel, t.Depth())
 		isTarget := func(bi int32) bool { return t.Boxes[bi].TrgCount > 0 }
-		isSource := func(bi int32) bool { return t.Boxes[bi].SrcCount > 0 }
+		isSource := func(bi int32) bool { return phi[bi] != nil }
 		for l := 2; l < t.Depth(); l++ {
 			plans[l] = e.fft.PlanTreeLevel(t, l, isTarget, isSource)
 		}
@@ -844,31 +958,31 @@ func (e *Evaluator) m2lPlans() []*translate.M2LLevel {
 // accumulate/extract sweep (over tiles) each fan out over the pool; a
 // barrier between them guarantees every spectrum is ready. The batch is
 // walked in rhs chunks (see rhsChunk).
-func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
-	lv := r.e.m2lPlans()[l]
+func (s *Sweep) applyM2LFFT(ctx context.Context, l int) error {
+	lv := s.e.m2lPlans(s.phiG)[l]
 	srcs := lv.Sources()
 	if len(srcs) == 0 {
 		return nil
 	}
-	ne, nc := r.ne, r.nc
-	chunk := rhsChunk(r.nrhs, lv)
+	ne, nc := s.ne, s.nc
+	chunk := rhsChunk(s.nrhs, lv)
 	spec := make([]float64, lv.SpecLen(chunk))
-	for q0 := 0; q0 < r.nrhs; q0 += chunk {
-		nq := min(chunk, r.nrhs-q0)
-		err := r.pool.ForRange(ctx, 0, len(srcs), func(w, i int) {
-			sc := &r.ws[w]
+	for q0 := 0; q0 < s.nrhs; q0 += chunk {
+		nq := min(chunk, s.nrhs-q0)
+		err := s.pool.ForRange(ctx, 0, len(srcs), func(w, i int) {
+			sc := &s.ws[w]
 			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-			sc.stats.FlopsDownV += lv.Forward(spec, nq, i, r.phiU[srcs[i]][q0*ne:(q0+nq)*ne], &sc.m2l)
+			sc.stats.FlopsDownV += lv.Forward(spec, nq, i, s.phiG[srcs[i]][q0*ne:(q0+nq)*ne], &sc.m2l)
 			sc.stats.DownV += time.Since(start)
 		})
 		if err != nil {
 			return err
 		}
-		err = r.pool.ForRange(ctx, 0, lv.Tiles(), func(w, i int) {
-			sc := &r.ws[w]
+		err = s.pool.ForRange(ctx, 0, lv.Tiles(), func(w, i int) {
+			sc := &s.ws[w]
 			start := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 			sc.stats.FlopsDownV += lv.ApplyTile(i, spec, nq, &sc.m2l, func(bi int32) []float64 {
-				return r.getCheck(bi)[q0*nc : (q0+nq)*nc]
+				return s.getCheck(bi)[q0*nc : (q0+nq)*nc]
 			})
 			sc.stats.DownV += time.Since(start)
 		})
@@ -879,52 +993,38 @@ func (r *runState) applyM2LFFT(ctx context.Context, l int) error {
 	return nil
 }
 
-// leafEvaluation computes target potentials at every leaf: direct U-list
-// interactions, W-list M2T evaluations and the local expansion (L2T).
-// Leaves own disjoint target ranges, so the whole sweep fans out at
-// once.
-func (r *runState) leafEvaluation(ctx context.Context) error {
-	t := r.e.Tree
-	td, ne := r.td, r.ne
-	nsurf := 3 * r.e.Ops.Surf.N
-	return r.pool.ForRange(ctx, 0, len(t.Boxes), func(w, bi int) {
+// Leaf finishes the potentials at every leaf: the W list (far small
+// boxes evaluated from their upward densities, M2T, reading Far's phi)
+// and the local expansion (L2T). Leaves own disjoint target ranges, so
+// the whole sweep fans out at once.
+func (s *Sweep) Leaf(ctx context.Context) error {
+	t := s.e.Tree
+	ne := s.ne
+	nsurf := 3 * s.e.Ops.Surf.N
+	err := s.pool.ForRange(ctx, 0, len(t.Boxes), func(w, bi int) {
 		b := &t.Boxes[bi]
 		if !b.Leaf || b.TrgCount == 0 {
 			return
 		}
-		sc := &r.ws[w]
+		sc := &s.ws[w]
 		trg := t.TrgSlice(int32(bi))
-		pot := func(q int) []float64 {
-			return r.ppots[q][b.TrgStart*td : (b.TrgStart+b.TrgCount)*td]
-		}
-		// U list: direct interactions with adjacent leaves (and itself).
-		startU := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-		for _, u := range b.U {
-			ub := &t.Boxes[u]
-			if ub.SrcCount == 0 {
-				continue
-			}
-			r.addP2P(sc, trg, t.SrcSlice(u), r.denAt(ub.SrcStart, ub.SrcCount), pot, &sc.stats.FlopsDownU)
-		}
-		sc.stats.DownU += time.Since(startU)
-		// W list: far small boxes evaluated from their upward equivalent
-		// densities (M2T).
+		pot := s.potAt(b)
 		startW := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
 		for _, wi := range b.W {
-			if r.phiU[wi] == nil {
+			if s.phiG[wi] == nil {
 				continue
 			}
 			wb := &t.Boxes[wi]
-			surfPts := r.e.Ops.UpwardEquivPoints(t.BoxCenter(wi), t.BoxHalfWidth(wb.Level()), sc.ptsBuf(nsurf))
-			r.addP2P(sc, trg, surfPts, sliceAt(r.phiU[wi], ne), pot, &sc.stats.FlopsDownW)
+			surfPts := s.e.Ops.UpwardEquivPoints(t.BoxCenter(wi), t.BoxHalfWidth(wb.Level()), sc.ptsBuf(nsurf))
+			s.addP2P(sc, trg, surfPts, sliceAt(s.phiG[wi], ne), pot, &sc.stats.FlopsDownW)
 		}
 		sc.stats.DownW += time.Since(startW)
-		// L2T: evaluate the downward equivalent density at the targets.
 		startE := time.Now() //lint:allow determinism per-stage timing feeds Stats and trace spans, not numerics
-		if r.phiD[bi] != nil {
-			surfPts := r.e.Ops.DownwardEquivPoints(t.BoxCenter(int32(bi)), t.BoxHalfWidth(b.Level()), sc.ptsBuf(nsurf))
-			r.addP2P(sc, trg, surfPts, sliceAt(r.phiD[bi], ne), pot, &sc.stats.FlopsEval)
+		if s.phiD[bi] != nil {
+			surfPts := s.e.Ops.DownwardEquivPoints(t.BoxCenter(int32(bi)), t.BoxHalfWidth(b.Level()), sc.ptsBuf(nsurf))
+			s.addP2P(sc, trg, surfPts, sliceAt(s.phiD[bi], ne), pot, &sc.stats.FlopsEval)
 		}
 		sc.stats.Eval += time.Since(startE)
 	})
+	return errs.FromContext(err)
 }

@@ -1,26 +1,40 @@
 // Package parfmm implements the paper's parallel algorithm (Section 3):
 // Morton-curve partitioning of input surface patches, level-by-level
 // construction of the global tree array via MPI_Allreduce, local
-// essential trees with contributor/owner/user roles, the gather/scatter
-// ghost exchange of Algorithm 1, and upward/downward computation passes
-// that run without synchronization ("a processor performs its own
-// computation ignoring the existence of other processors").
+// essential trees with contributor/owner/user roles, and the
+// gather/scatter ghost exchange of Algorithm 1. The computation is not
+// parfmm's own: each rank runs the fmm engine's passes (fmm.Sweep) over
+// its local essential tree without synchronization ("a processor
+// performs its own computation ignoring the existence of other
+// processors"), with the exchanges in between. One evaluation is, by
+// the rank's virtual-time span names (which internal/harness and the
+// cluster coordinator read):
+//
+//	source_gather     post local leaf sources to their owners
+//	upward            Up: partial upward densities of the local sources
+//	source_exchange   owners combine and scatter global leaf sources
+//	density_gather    post partial upward densities to their owners
+//	down_ux           Near: U and X lists over the ghost sources
+//	density_exchange  owners sum and scatter global upward densities
+//	down_vw_local     Far and Leaf: V lists, L2L, inversion, W lists, L2T
 //
 // As in the paper's experiments, the source and target point sets are
 // identical.
 package parfmm
 
 import (
-	"fmt"
+	"context"
 	"strconv"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/fmm"
 	"repro/internal/geom"
 	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/surface"
 	"repro/internal/tree"
 )
 
@@ -133,17 +147,9 @@ func (r *Result) Ratio() float64 {
 // den holds SourceDim density components per point in the order of
 // geom.Flatten(patches).
 func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Result, error) {
-	if opt.Kernel == nil {
-		return nil, fmt.Errorf("parfmm: Options.Kernel is required")
-	}
-	if opt.Degree == 0 {
-		opt.Degree = 6
-	}
-	if opt.MaxPoints == 0 {
-		opt.MaxPoints = 60
-	}
-	if opt.PinvTol == 0 {
-		opt.PinvTol = 1e-10
+	eopt, err := opt.engine()
+	if err != nil {
+		return nil, err
 	}
 	if opt.Iterations <= 0 {
 		opt.Iterations = 1
@@ -152,12 +158,15 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		opt.Machine = mpi.DefaultMachine()
 	}
 	if nproc < 1 {
-		return nil, fmt.Errorf("parfmm: need at least one rank")
+		return nil, errs.New(errs.CodeInvalidInput, "parfmm: need at least one rank")
 	}
-	sd := opt.Kernel.SourceDim()
+	sd := eopt.Kernel.SourceDim()
 	total := geom.TotalCount(patches)
 	if len(den) != total*sd {
-		return nil, fmt.Errorf("parfmm: density length %d, want %d", len(den), total*sd)
+		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: density length %d, want %d", len(den), total*sd)
+	}
+	if opt.PatchWeights != nil && len(opt.PatchWeights) != len(patches) {
+		return nil, errs.Newf(errs.CodeInvalidInput, "parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
 	}
 	for i := range patches {
 		if err := tree.CheckCoordinates("patch "+strconv.Itoa(i), patches[i].Points); err != nil {
@@ -174,9 +183,6 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		centers = append(centers, patches[i].Center[0], patches[i].Center[1], patches[i].Center[2])
 	}
 	cc, chw := geom.BoundingCube(centers)
-	if opt.PatchWeights != nil && len(opt.PatchWeights) != len(patches) {
-		return nil, fmt.Errorf("parfmm: PatchWeights length %d, want %d", len(opt.PatchWeights), len(patches))
-	}
 	for i := range patches {
 		w := int64(patches[i].Count())
 		if opt.PatchWeights != nil {
@@ -213,62 +219,29 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		inputs[r] = in
 	}
 
-	td := opt.Kernel.TargetDim()
+	td := eopt.Kernel.TargetDim()
 	pot := make([]float64, total*td)
 	pointWork := make([]int64, total)
 	stats := make([]RankStats, nproc)
 	treeBoxes := make([]int, nproc)
 	treeDepth := make([]int, nproc)
-
 	timelines := make([]*obs.RankTimeline, nproc)
+	rankErrs := make([]error, nproc)
+
+	// Simulated ranks run to completion by design (mpi.Run): a rank
+	// failing alone would leave its peers blocked in a collective, which
+	// is why the options are checked above, before any rank starts.
+	ctx := context.Background() //lint:allow ctxfirst simulated ranks run to completion by design; mpi.Run cannot stop them part-way
 	comms := mpi.Run(nproc, opt.Machine, func(c *mpi.Comm) {
-		rk := newRank(c, inputs[c.Rank()], opt)
-		if opt.Trace {
-			tl := obs.NewRankTimeline(c.Rank())
-			timelines[c.Rank()] = tl
-			rk.tl = tl
-			c.SetObserver(func(ev mpi.Event) { tl.Record(msgRecord(ev)) })
+		rk := &rank{c: c, in: inputs[c.Rank()], opt: eopt}
+		defer rk.close()
+		rankErrs[c.Rank()] = rk.simulate(ctx, opt, &stats[c.Rank()])
+		if rankErrs[c.Rank()] != nil {
+			return
 		}
-		sp := rk.beginSpan("tree_build")
-		rk.buildGlobalTree()
-		rk.endSpan(sp)
+		timelines[c.Rank()] = rk.tl
 		treeBoxes[c.Rank()] = len(rk.tree.Boxes)
 		treeDepth[c.Rank()] = rk.tree.Depth()
-		sp = rk.beginSpan("assign_owners")
-		rk.assignOwners()
-		rk.endSpan(sp)
-		stats[c.Rank()].TreeTime = c.Elapsed()
-
-		// Untimed warm-up evaluation: the translation operators and FFT
-		// tensors are built lazily on first use, and the paper's timings
-		// (like any FMM production setting, where the same tree serves
-		// tens of interaction evaluations) exclude that setup cost. The
-		// measured iterations below see only steady-state work.
-		sp = rk.beginSpan("warmup")
-		rk.evaluate()
-		rk.endSpan(sp)
-
-		var agg fmm.Stats
-		var totalT, commT time.Duration
-		var bytes int64
-		for it := 0; it < opt.Iterations; it++ {
-			t0 := c.Elapsed()
-			c0 := c.CommTime()
-			b0 := c.BytesSent()
-			sp = rk.beginSpan("iteration")
-			sp.SetAttr("iter", fmt.Sprint(it))
-			rk.evaluate()
-			rk.endSpan(sp)
-			totalT += c.Elapsed() - t0
-			commT += c.CommTime() - c0
-			bytes += c.BytesSent() - b0
-			agg.Add(rk.stats)
-		}
-		n := time.Duration(opt.Iterations)
-		stats[c.Rank()].Total = totalT / n
-		stats[c.Rank()].Comm = commT / n
-		stats[c.Rank()].BytesSent = bytes / int64(opt.Iterations)
-		stats[c.Rank()].Stats = agg
 		// Write local potentials and per-point work estimates into the
 		// shared result (serialized by the token; indices are disjoint
 		// across ranks).
@@ -279,6 +252,11 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		}
 		rk.tl.Close(c.Elapsed())
 	})
+	for _, err := range rankErrs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	// Aggregate point work into per-patch totals.
 	patchWork := make([]int64, len(patches))
@@ -296,4 +274,70 @@ func Evaluate(patches []geom.Patch, den []float64, nproc int, opt Options) (*Res
 		res.Timeline = obs.MergeTimeline(timelines)
 	}
 	return res, nil
+}
+
+// simulate runs one simulated rank: set-up, an untimed warm-up
+// evaluation, then the timed iterations, recording the rank's virtual
+// time breakdown into st.
+func (rk *rank) simulate(ctx context.Context, opt Options, st *RankStats) error {
+	c := rk.c
+	if err := rk.setup(ctx, opt.Trace); err != nil {
+		return err
+	}
+	st.TreeTime = c.Elapsed()
+
+	// Untimed warm-up evaluation: the translation operators, FFT tensors
+	// and M2L plans are built lazily on first use, and the paper's
+	// timings (like any FMM production setting, where the same tree
+	// serves tens of interaction evaluations) exclude that setup cost.
+	// The measured iterations below see only steady-state work.
+	sp := rk.beginSpan("warmup")
+	err := rk.evaluate(ctx)
+	rk.endSpan(sp)
+	if err != nil {
+		return err
+	}
+
+	var totalT, commT time.Duration
+	var bytes int64
+	for it := 0; it < opt.Iterations; it++ {
+		t0 := c.Elapsed()
+		c0 := c.CommTime()
+		b0 := c.BytesSent()
+		sp = rk.beginSpan("iteration")
+		sp.SetAttr("iter", strconv.Itoa(it))
+		err := rk.evaluate(ctx)
+		rk.endSpan(sp)
+		if err != nil {
+			return err
+		}
+		totalT += c.Elapsed() - t0
+		commT += c.CommTime() - c0
+		bytes += c.BytesSent() - b0
+		st.Stats.Add(rk.stats)
+	}
+	n := time.Duration(opt.Iterations)
+	st.Total = totalT / n
+	st.Comm = commT / n
+	st.BytesSent = bytes / int64(opt.Iterations)
+	return nil
+}
+
+// engine returns the FMM engine options: the fields Options shares with
+// fmm.Options, defaulted by fmm.ApplyDefaults (so MaxPoints <= 0 means
+// 60 here as there). It rejects what would fail inside every rank — a
+// missing kernel, a degree the operators cannot be built for — before
+// any rank starts.
+func (o Options) engine() (fmm.Options, error) {
+	if o.Kernel == nil {
+		return fmm.Options{}, errs.New(errs.CodeInvalidInput, "parfmm: Options.Kernel is required")
+	}
+	e := fmm.ApplyDefaults(fmm.Options{
+		Kernel: o.Kernel, Degree: o.Degree, MaxPoints: o.MaxPoints,
+		MaxDepth: o.MaxDepth, Backend: o.Backend, PinvTol: o.PinvTol,
+	})
+	if _, err := surface.New(e.Degree); err != nil {
+		return fmm.Options{}, errs.Typed(err, errs.CodeInvalidInput)
+	}
+	return e, nil
 }

@@ -57,6 +57,40 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestOneRankIsTheSingleNodeEngine: ranks run fmm's passes, so one
+// rank, whose ghost data is its own tree's in Morton order, reproduces
+// the single-node evaluator bit for bit, on a geometry with X and W
+// lists and for both M2L backends.
+func TestOneRankIsTheSingleNodeEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	patches := geom.SphereGrid(rng, 1200, 2, 0.3)
+	pts := geom.Flatten(patches)
+	k := kernels.Laplace{}
+	den := geom.RandomDensities(rng, 1200, k.SourceDim())
+	for _, backend := range []fmm.M2LBackend{fmm.M2LFFT, fmm.M2LDense} {
+		seq, err := fmm.New(pts, pts, fmm.Options{Kernel: k, Degree: 6, MaxPoints: 30, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := seq.Evaluate(den)
+		seq.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Evaluate(patches, den, 1, Options{
+			Kernel: k, Degree: 6, MaxPoints: 30, Backend: backend, Machine: fastMachine(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if res.Pot[i] != want[i] {
+				t.Fatalf("backend %d: potential %d is %v on one rank, %v on a single node", backend, i, res.Pot[i], want[i])
+			}
+		}
+	}
+}
+
 // TestParallelAccuracyAllKernels verifies the full parallel pipeline
 // against direct summation for the paper's three kernels.
 func TestParallelAccuracyAllKernels(t *testing.T) {

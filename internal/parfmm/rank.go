@@ -1,15 +1,18 @@
 package parfmm
 
 import (
+	"context"
 	"math"
+	"math/bits"
 	"strconv"
 
+	"repro/internal/errs"
+	"repro/internal/exec"
 	"repro/internal/fmm"
 	"repro/internal/kernels"
 	"repro/internal/morton"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/translate"
 	"repro/internal/tree"
 )
 
@@ -19,19 +22,19 @@ import (
 type rank struct {
 	c   mpi.Transport
 	in  *RankInput
-	opt Options
+	opt fmm.Options // engine options, defaulted
 
 	// tl records this rank's span timeline and communication ledger
 	// when Options.Trace is set (nil otherwise; all helpers nil-safe).
 	tl *obs.RankTimeline
 
-	ops *translate.Set
-	fft *translate.FFTM2L
-	m2l translate.M2LScratch // FFT-M2L buffers, reused across levels
-
+	// ev is the FMM engine over the rank's local essential tree. It
+	// leases from a private one-lane pool: a rank blocks in Recv while
+	// holding its lease, so ranks sharing a pool smaller than their
+	// count would deadlock its Acquire.
+	ev   *fmm.Evaluator
 	tree *tree.Tree
-	pden []float64 // local densities in Morton order
-	gCnt []int64   // global point count per box
+	gCnt []int64 // global point count per box
 
 	words   int      // mask words per box
 	contrib []uint64 // contributor masks, boxes x words
@@ -39,19 +42,46 @@ type rank struct {
 	denUse  []uint64 // upward-density user masks
 	owner   []int32
 
-	// Per-iteration ghost state.
-	ghostPos map[int32][]float64 // leaf box -> global source positions
-	ghostDen map[int32][]float64 // leaf box -> global source densities
-	ghostPhi map[int32][]float64 // box -> global upward equivalent density
-	phiU     [][]float64         // partial upward densities (contributed boxes)
-	phiD     [][]float64         // downward densities (contributed boxes)
+	// Per-evaluation state: the engine sweep in flight and, indexed by
+	// box, the partial upward densities it computed and the ghost copies
+	// the exchanges gathered.
+	sw       *fmm.Sweep
+	phiU     [][]float64 // partial upward densities (contributed boxes)
+	ghostPos [][]float64 // leaf box -> global source positions
+	ghostDen [][]float64 // leaf box -> global source densities
+	ghostPhi [][]float64 // box -> global upward equivalent density
 
 	pot   []float64 // local potentials, original local order
 	stats fmm.Stats
 }
 
-func newRank(c mpi.Transport, in *RankInput, opt Options) *rank {
-	return &rank{c: c, in: in, opt: opt}
+// setup runs everything before the first interaction evaluation: the
+// global tree construction, the rank's engine over its local essential
+// tree, and the owner assignment. With trace set it starts the rank's
+// timeline and ledger first.
+func (rk *rank) setup(ctx context.Context, trace bool) error {
+	if trace {
+		tl := obs.NewRankTimeline(rk.c.Rank())
+		rk.tl = tl
+		rk.c.SetObserver(func(ev mpi.Event) { tl.Record(msgRecord(ev)) })
+	}
+	sp := rk.beginSpan("tree_build")
+	err := rk.buildGlobalTree(ctx)
+	rk.endSpan(sp)
+	if err != nil {
+		return err
+	}
+	sp = rk.beginSpan("assign_owners")
+	rk.assignOwners()
+	rk.endSpan(sp)
+	return nil
+}
+
+// close releases the engine's claim on the shared operator caches.
+func (rk *rank) close() {
+	if rk.ev != nil {
+		rk.ev.Close()
+	}
 }
 
 // beginSpan opens a virtual-time span on the rank's timeline (nil when
@@ -123,7 +153,7 @@ func maskBit(mask []uint64, words int, bi int32, r int) bool {
 // Section 3.1: each rank fills its local point counts into the level's
 // slab of the global tree array, an MPI_Allreduce sums them, and every
 // rank derives the identical next level from the global counts.
-func (rk *rank) buildGlobalTree() {
+func (rk *rank) buildGlobalTree(ctx context.Context) error {
 	c := rk.c
 	// Globally agreed computational domain.
 	lo := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
@@ -157,9 +187,6 @@ func (rk *rank) buildGlobalTree() {
 	n := len(keys)
 
 	maxDepth := rk.opt.MaxDepth
-	if maxDepth <= 0 || maxDepth > morton.MaxLevel {
-		maxDepth = morton.MaxLevel
-	}
 	s := int64(rk.opt.MaxPoints)
 
 	root := tree.Box{Key: morton.Key{}, Parent: tree.Nil, Leaf: true, SrcCount: n, TrgCount: n}
@@ -225,22 +252,17 @@ func (rk *rank) buildGlobalTree() {
 		levelStart = append(levelStart, len(boxes))
 	}
 	rk.gCnt = gCnt
-	rk.tree = tree.Assemble(center, hw, boxes, levelStart, sorted, perm, rk.opt.MaxPoints)
-	// Permute densities into Morton order.
-	sd := rk.opt.Kernel.SourceDim()
-	rk.pden = make([]float64, len(rk.in.Den))
-	for i, orig := range perm {
-		copy(rk.pden[i*sd:(i+1)*sd], rk.in.Den[int(orig)*sd:(int(orig)+1)*sd])
-	}
-	// Translation operators (shared across ranks via the global cache).
-	ops, err := translate.NewSet(rk.opt.Kernel, rk.opt.Degree, hw, rk.opt.PinvTol)
+	tr, err := tree.Assemble(ctx, center, hw, boxes, levelStart, sorted, perm, rk.opt.MaxPoints)
 	if err != nil {
-		panic(err)
+		return errs.FromContext(err)
 	}
-	rk.ops = ops
-	if rk.opt.Backend == fmm.M2LFFT {
-		rk.fft = translate.NewFFTM2L(ops)
-	}
+	rk.tree = tr
+	// The engine's translation operators are shared across ranks via
+	// the global cache.
+	opt := rk.opt
+	opt.Workers, opt.Pool = 1, exec.NewElastic(1)
+	rk.ev, err = fmm.FromTree(tr, opt)
+	return err
 }
 
 // assignOwners implements the paper's three-step owner assignment: mark
@@ -326,23 +348,10 @@ func (rk *rank) assignOwners() {
 // forEachRank calls fn for every rank whose bit is set in the mask of bi.
 func (rk *rank) forEachRank(mask []uint64, bi int32, fn func(r int)) {
 	for w := 0; w < rk.words; w++ {
-		bits := mask[int(bi)*rk.words+w]
-		for bits != 0 {
-			b := bits & (-bits)
-			r := w*64 + trailingZeros(b)
-			fn(r)
-			bits ^= b
+		for m := mask[int(bi)*rk.words+w]; m != 0; m &= m - 1 {
+			fn(w*64 + bits.TrailingZeros64(m))
 		}
 	}
-}
-
-func trailingZeros(b uint64) int {
-	n := 0
-	for b&1 == 0 {
-		b >>= 1
-		n++
-	}
-	return n
 }
 
 func (rk *rank) isUser(mask []uint64, bi int32) bool {
@@ -360,7 +369,7 @@ func (rk *rank) pointWorkEstimate() []int64 {
 	k := rk.opt.Kernel
 	n := len(t.SrcPoints) / 3
 	sorted := make([]int64, n)
-	surfN := rk.ops.Surf.N
+	surfN := rk.ev.Ops.Surf.N
 	for bi := range t.Boxes {
 		b := &t.Boxes[bi]
 		if !b.Leaf || b.SrcCount == 0 {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/parfmm"
 )
 
 // TestNonFiniteCoordinatesRejected: one bad coordinate among 5000
@@ -131,4 +133,87 @@ func rel(got, want []float64) float64 {
 		return math.Sqrt(num)
 	}
 	return math.Sqrt(num / den)
+}
+
+// TestEvaluateParallelInvalidInput: every input the parallel driver
+// rejects comes back as a typed invalid_input error, checked before any
+// simulated rank starts — a rank failing alone would leave its peers
+// blocked in a collective.
+func TestEvaluateParallelInvalidInput(t *testing.T) {
+	patches := SpherePatches(6, 300, 2, 0.3)
+	den := RandomDensities(7, 300, 1)
+	cases := []struct {
+		name  string
+		den   []float64
+		nproc int
+		opt   Options
+	}{
+		{"negative degree", den, 2, Options{Kernel: Laplace(), Degree: -1}},
+		{"degree 2", den, 2, Options{Kernel: Laplace(), Degree: 2}},
+		{"nil kernel", den, 2, Options{}},
+		{"density length", den[:299], 2, Options{Kernel: Laplace()}},
+		{"no ranks", den, 0, Options{Kernel: Laplace()}},
+	}
+	for _, c := range cases {
+		if _, err := EvaluateParallel(patches, c.den, c.nproc, ParallelOptions{Options: c.opt}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: EvaluateParallel returned %v, want invalid_input", c.name, err)
+		}
+	}
+	_, err := parfmm.Evaluate(patches, den, 2, parfmm.Options{Kernel: Laplace(), PatchWeights: []int64{1, 2, 3}})
+	if !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("PatchWeights length: parfmm.Evaluate returned %v, want invalid_input", err)
+	}
+}
+
+// TestEvaluateParallelDefaultsLikeSingleNode: the parallel driver
+// defaults its options like the single-node engine, so a non-positive
+// leaf size means the default 60 there too instead of splitting every
+// box down to the depth cap.
+func TestEvaluateParallelDefaultsLikeSingleNode(t *testing.T) {
+	patches := SpherePatches(8, 2000, 2, 0.3)
+	den := RandomDensities(9, 2000, 1)
+	var boxes, depth [2]int
+	for i, mp := range []int{0, -1} {
+		res, err := EvaluateParallel(patches, den, 2, ParallelOptions{Options: Options{Kernel: Laplace(), Degree: 4, MaxPoints: mp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes[i], depth[i] = res.Boxes, res.Depth
+	}
+	if boxes[1] != boxes[0] || depth[1] != depth[0] {
+		t.Errorf("MaxPoints -1 built %d boxes of depth %d, MaxPoints 0 built %d of depth %d", boxes[1], depth[1], boxes[0], depth[0])
+	}
+}
+
+// TestEvaluateParallelReleasesOperators: every rank's engine releases
+// its claim on the shared operator caches when the run ends, so a live
+// plan over the same geometry keeps its footprint attribution instead
+// of sharing it with ranks that are gone.
+func TestEvaluateParallelReleasesOperators(t *testing.T) {
+	patches := SpherePatches(10, 3000, 2, 0.3)
+	pts := FlattenPatches(patches)
+	den := RandomDensities(11, 3000, 1)
+	ev, err := NewEvaluator(pts, pts, Options{Kernel: Laplace(), Degree: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	if _, err := ev.Evaluate(den); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := EvaluateParallel(patches, den, 4, ParallelOptions{Options: Options{Kernel: Laplace(), Degree: 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A first run may build operators the plan has not used yet; after
+	// it, further runs must leave the plan's attribution alone.
+	run()
+	before := ev.FootprintBytes()
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if after := ev.FootprintBytes(); after != before {
+		t.Errorf("plan footprint %d B before three parallel runs, %d B after", before, after)
+	}
 }
